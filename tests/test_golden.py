@@ -1,0 +1,59 @@
+"""Golden digests of the CLI pipeline's artifacts.
+
+The sha256 of every file written by the pipeline below (seed 17, 40 images)
+is pinned in `golden_digests.json`. A refactor that claims to preserve
+behaviour must leave every digest unchanged; a change that alters an output
+on purpose regenerates the file and says which artifact changed and why.
+
+Regenerate with: PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from scalenorm.cli import main as cli_main
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def pipeline_digests(workdir: Path) -> dict[str, str]:
+    """Run the pipeline in `workdir`; map each artifact name to its sha256."""
+    ann = workdir / "annotations.json"
+    dets = workdir / "detections.json"
+    paths = {
+        "annotations.json": ann,
+        "detections.json": dets,
+        "fused.json": workdir / "fused.json",
+        "fused_naive.json": workdir / "fused_naive.json",
+        "metrics.json": workdir / "metrics.json",
+        "hist.csv": workdir / "hist.csv",
+    }
+    commands = [
+        ["simulate", "--images", "40", "--seed", "17", "--out", ann, "--out-dets", dets],
+        ["fuse", "--dets", dets, "--out", paths["fused.json"]],
+        ["fuse", "--dets", dets, "--naive", "--out", paths["fused_naive.json"]],
+        ["eval", "--annotations", ann, "--dets", paths["fused.json"],
+         "--scale-range", "16,560", "--out", paths["metrics.json"]],
+        ["stage-hist", "--annotations", ann, "--out", paths["hist.csv"]],
+    ]
+    for argv in commands:
+        assert cli_main([str(a) for a in argv]) == 0, argv
+    return {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in paths.items()
+    }
+
+
+def test_pipeline_artifacts_match_golden_digests(tmp_path):
+    assert pipeline_digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = pipeline_digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import dataio
 from .config import AppConfig, apply_override, parse_factors, parse_range
@@ -133,18 +134,12 @@ def _effective_config(args: argparse.Namespace) -> AppConfig:
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_seed(args.seed)
     if getattr(args, "factors", None):
-        cfg = _replace(cfg, pyramid=parse_factors(args.factors))
+        cfg = replace(cfg, pyramid=parse_factors(args.factors))
     if getattr(args, "scale_range", None):
-        cfg = _replace(cfg, scale_range=parse_range(args.scale_range))
+        cfg = replace(cfg, scale_range=parse_range(args.scale_range))
     if getattr(args, "top_k", None) is not None:
-        cfg = _replace(cfg, fusion_top_k=args.top_k)
+        cfg = replace(cfg, fusion_top_k=args.top_k)
     return cfg
-
-
-def _replace(cfg: AppConfig, **kwargs) -> AppConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, **kwargs)
 
 
 def _snip_table(args: argparse.Namespace):
@@ -258,10 +253,6 @@ def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> int:
     return 0
 
 
-def _metrics_payload(result: EvalResult) -> dict:
-    return result.to_dict()
-
-
 def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> int:
     dataset = dataio.load_annotations(args.annotations)
     dets = dataio.load_detections(args.dets)
@@ -280,15 +271,15 @@ def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> int:
         payload = {
             "config": cfg.to_dict(),
             "scale_range": restriction.to_pair(),
-            "unrestricted": _metrics_payload(unrestricted),
-            "restricted": _metrics_payload(restricted),
+            "unrestricted": unrestricted.to_dict(),
+            "restricted": restricted.to_dict(),
         }
         csv_rows = [
             ("unrestricted/" + c, m, v) for c, m, v in unrestricted.csv_rows()
         ] + [("restricted/" + c, m, v) for c, m, v in restricted.csv_rows()]
     else:
         result = evaluate(dataset.instances, dets, cfg.eval, categories)
-        payload = {"config": cfg.to_dict(), "metrics": _metrics_payload(result)}
+        payload = {"config": cfg.to_dict(), "metrics": result.to_dict()}
         csv_rows = result.csv_rows()
     dataio.write_json(args.out, payload)
     if args.csv:

@@ -20,6 +20,10 @@ from .simulate import DetectorProfile
 
 DEFAULT_FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25)
 DEFAULT_RANGE = ScaleRange(16.0, 560.0)
+_TOP_LEVEL_KEYS = frozenset(
+    ("pyramid_factors", "scale_range", "soft_nms", "fusion_top_k", "eval", "search",
+     "detector", "fpn", "seed")
+)
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,9 @@ class AppConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AppConfig":
+        unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         cfg = cls()
         if "pyramid_factors" in data:
             cfg = replace(cfg, pyramid=PyramidSpec(tuple(data["pyramid_factors"])))

@@ -11,6 +11,7 @@ every emitted artifact re-ingests losslessly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -310,16 +311,8 @@ def write_json(path: str | os.PathLike, obj) -> None:
 
 
 def write_csv(path: str | os.PathLike, header: tuple, rows: list[tuple]) -> None:
-    buf = []
-    out = csv.writer(_ListWriter(buf), lineterminator="\n")
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
     out.writerow(header)
     out.writerows(rows)
-    _atomic_write(path, "".join(buf))
-
-
-class _ListWriter:
-    def __init__(self, sink: list):
-        self.sink = sink
-
-    def write(self, chunk: str) -> None:
-        self.sink.append(chunk)
+    _atomic_write(path, buf.getvalue())

@@ -18,11 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Detection, Instance, ScaleRange, instance_scale
+from .geometry import Detection, Instance, ScaleRange, instance_scale, iou_matrix, to_corners
 
 BUCKET_NAMES = ("all", "small", "medium", "large")
 
@@ -154,26 +154,12 @@ class _ImageUnit:
         ]
         self.gt_buckets = [cfg.bucket_of(g.bbox.area) for g in gts]
         self.det_buckets = [cfg.bucket_of(d.bbox.area) for d in self.dets]
-        self.ious = _iou_matrix(self.dets, gts).tolist()
+        self.ious = iou_matrix(_corners(self.dets), _corners(gts)).tolist()
 
 
-def _iou_matrix(dets: list[Detection], gts: list[Instance]) -> np.ndarray:
-    if not dets or not gts:
-        return np.zeros((len(dets), len(gts)))
-    dx1 = np.array([d.bbox.x for d in dets])[:, None]
-    dy1 = np.array([d.bbox.y for d in dets])[:, None]
-    dx2 = np.array([d.bbox.x2 for d in dets])[:, None]
-    dy2 = np.array([d.bbox.y2 for d in dets])[:, None]
-    gx1 = np.array([g.bbox.x for g in gts])[None, :]
-    gy1 = np.array([g.bbox.y for g in gts])[None, :]
-    gx2 = np.array([g.bbox.x2 for g in gts])[None, :]
-    gy2 = np.array([g.bbox.y2 for g in gts])[None, :]
-    iw = np.clip(np.minimum(dx2, gx2) - np.maximum(dx1, gx1), 0.0, None)
-    ih = np.clip(np.minimum(dy2, gy2) - np.maximum(dy1, gy1), 0.0, None)
-    inter = iw * ih
-    d_area = (dx2 - dx1) * (dy2 - dy1)
-    g_area = (gx2 - gx1) * (gy2 - gy1)
-    return inter / (d_area + g_area - inter)
+def _corners(records: list[Detection] | list[Instance]) -> np.ndarray:
+    xywh = np.array([(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in records])
+    return to_corners(xywh.reshape(-1, 4))
 
 
 def _match_unit(
@@ -361,23 +347,7 @@ def ap_by_scale_report(
     cfg = cfg or EvalConfig()
     if scale_range is None:
         raise ValueError("scale_range is required")
-    unrestricted_cfg = EvalConfig(
-        iou_thresholds=cfg.iou_thresholds,
-        recall_points=cfg.recall_points,
-        max_dets=cfg.max_dets,
-        scale_restriction=None,
-        small_area=cfg.small_area,
-        large_area=cfg.large_area,
-    )
-    restricted_cfg = EvalConfig(
-        iou_thresholds=cfg.iou_thresholds,
-        recall_points=cfg.recall_points,
-        max_dets=cfg.max_dets,
-        scale_restriction=scale_range,
-        small_area=cfg.small_area,
-        large_area=cfg.large_area,
-    )
     return (
-        evaluate(gts, dets, unrestricted_cfg, categories),
-        evaluate(gts, dets, restricted_cfg, categories),
+        evaluate(gts, dets, replace(cfg, scale_restriction=None), categories),
+        evaluate(gts, dets, replace(cfg, scale_restriction=scale_range), categories),
     )

@@ -2,21 +2,29 @@
 
 Predictions from each pyramid resolution are filtered by the shared scale
 range (measured in the resized image where the detector produced them),
-projected back to original-image coordinates, pooled, and de-duplicated with
-Soft-NMS. Everything is deterministic: candidates are processed in the total
-order (score desc, resolution_index asc, box lexicographic, category).
+projected back to original-image coordinates by multiplying by 1 / factor
+(as `project_box` does; dividing rounds differently), pooled, and
+de-duplicated with Soft-NMS per category. Boxes travel as one table with a
+row per detection; `Detection` records are built only for the output.
+Everything is deterministic: candidates are processed in the total order
+(score desc, resolution_index asc, box x, y, w, h, category), exact ties in
+input order. Each category's matrix of decay factors is computed once, so a
+greedy pick costs one masked argmax, one row multiply and one floor test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Detection, ScaleRange, instance_scale, project_box
+from .geometry import BBox, Detection, ScaleRange, iou_matrix, to_corners
 
 UNBOUNDED_RANGE = ScaleRange(0.0, math.inf)
+
+# Columns of a detection table.
+_X, _Y, _W, _H, _SCORE, _CATEGORY, _RESOLUTION, _IMAGE = range(8)
 
 
 @dataclass(frozen=True)
@@ -41,23 +49,29 @@ class SoftNmsConfig:
             raise ValueError(f"score_floor outside [0, 1): {self.score_floor!r}")
 
 
-def _det_order_key(det: Detection):
-    b = det.bbox
-    return (-det.score, det.resolution_index, b.x, b.y, b.w, b.h, det.category_id)
+def _gated_table(
+    per_resolution: list[tuple[float, list[Detection]]], scale_range: ScaleRange
+) -> np.ndarray:
+    """In-range detections of every resolution, projected to original-image
+    coordinates, stacked in input order as one (N, 8) table."""
+    tables = [np.empty((0, 8))]
+    for factor, dets in per_resolution:
+        if factor <= 0:
+            raise ValueError(f"scaling factor must be positive: {factor!r}")
+        table = np.array([
+            (d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.category_id,
+             d.resolution_index, d.image_id) for d in dets
+        ]).reshape(-1, 8)
+        scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
+        table = table[(scale_range.lower <= scale) & (scale <= scale_range.upper)]
+        table[:, :4] *= 1.0 / factor
+        tables.append(table)
+    return np.concatenate(tables)
 
 
-def gate_predictions(
-    dets: list[Detection], factor: float, scale_range: ScaleRange
-) -> list[Detection]:
-    """Keep detections whose resized-image scale is in range; project the
-    survivors to original-image coordinates. Input order is preserved."""
-    if factor <= 0:
-        raise ValueError(f"scaling factor must be positive: {factor!r}")
-    kept = []
-    for det in dets:
-        if scale_range.contains(instance_scale(det.bbox)):
-            kept.append(replace(det, bbox=project_box(det.bbox, 1.0 / factor)))
-    return kept
+def _order_keys(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    # The candidate order as np.lexsort keys, which sorts by its last key first.
+    return t[:, _CATEGORY], t[:, _H], t[:, _W], t[:, _Y], t[:, _X], t[:, _RESOLUTION], -t[:, _SCORE]
 
 
 def _decay_factors(overlaps: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
@@ -68,35 +82,49 @@ def _decay_factors(overlaps: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
     return np.where(overlaps > cfg.iou_threshold, 0.0, 1.0)
 
 
-def _suppress_group(group: list[Detection], cfg: SoftNmsConfig) -> list[Detection]:
-    # Greedy pass over one category: pick the highest current score (ties
-    # resolve to the earliest candidate in the deterministic input order),
-    # decay everyone else by overlap with the pick, drop below the floor.
-    n = len(group)
-    if n == 1:
-        return list(group)
-    x1 = np.array([d.bbox.x for d in group])
-    y1 = np.array([d.bbox.y for d in group])
-    x2 = np.array([d.bbox.x2 for d in group])
-    y2 = np.array([d.bbox.y2 for d in group])
-    area = (x2 - x1) * (y2 - y1)
-    scores = np.array([d.score for d in group])
-    active = np.ones(n, dtype=bool)
-
-    picked: list[tuple[int, float]] = []
-    while active.any():
-        i = int(np.argmax(np.where(active, scores, -1.0)))
-        picked.append((i, float(scores[i])))
+def _suppress_category(block: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
+    # Greedy pass over one category in candidate order: pick the highest
+    # current score (ties go to the earliest candidate), decay the still
+    # active rest by overlap with the pick, drop below the floor. Returns the
+    # picked rows in pick order, carrying their final scores.
+    corners = to_corners(block[:, :4])
+    decay = _decay_factors(iou_matrix(corners, corners), cfg)
+    scores = block[:, _SCORE].copy()
+    active = np.ones(len(block), dtype=bool)
+    picks = []
+    while active[i := int(np.where(active, scores, -1.0).argmax())]:
+        picks.append(i)
         active[i] = False
-        if not active.any():
-            break
-        iw = np.minimum(x2, x2[i]) - np.maximum(x1, x1[i])
-        ih = np.minimum(y2, y2[i]) - np.maximum(y1, y1[i])
-        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-        overlaps = inter / (area + area[i] - inter)
-        scores = np.where(active, scores * _decay_factors(overlaps, cfg), scores)
+        np.multiply(scores, decay[i], out=scores, where=active)
         active &= scores >= cfg.score_floor
-    return [replace(group[i], score=s) for i, s in picked]
+    picked = block[picks]
+    picked[:, _SCORE] = scores[picks]
+    return picked
+
+
+def _suppress(table: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
+    """Soft-NMS per category; survivors sorted in candidate order."""
+    if not len(table):
+        return table
+    table = table[np.lexsort(_order_keys(table) + (table[:, _CATEGORY],))]
+    blocks = np.split(table, np.flatnonzero(np.diff(table[:, _CATEGORY])) + 1)
+    kept = np.concatenate([_suppress_category(block, cfg) for block in blocks])
+    return kept[np.lexsort(_order_keys(kept))]
+
+
+def _detections(table: np.ndarray) -> list[Detection]:
+    return [
+        Detection(BBox(x, y, w, h), int(category), score, int(image), int(resolution))
+        for x, y, w, h, score, category, resolution, image in table.tolist()
+    ]
+
+
+def gate_predictions(
+    dets: list[Detection], factor: float, scale_range: ScaleRange
+) -> list[Detection]:
+    """Keep detections whose resized-image scale is in range; project the
+    survivors to original-image coordinates. Input order is preserved."""
+    return _detections(_gated_table([(factor, dets)], scale_range))
 
 
 def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[Detection]:
@@ -105,13 +133,8 @@ def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[De
     Never raises a score; the top-scoring input always survives unchanged.
     Output is sorted by final score descending (deterministic tie-break).
     """
-    cfg = cfg or SoftNmsConfig()
-    out: list[Detection] = []
-    for cat in sorted({d.category_id for d in dets}):
-        group = sorted((d for d in dets if d.category_id == cat), key=_det_order_key)
-        out.extend(_suppress_group(group, cfg))
-    out.sort(key=_det_order_key)
-    return out
+    table = _gated_table([(1.0, dets)], UNBOUNDED_RANGE)
+    return _detections(_suppress(table, cfg or SoftNmsConfig()))
 
 
 def fuse_multiscale(
@@ -126,11 +149,5 @@ def fuse_multiscale(
     result does not depend on the order resolutions are supplied in. When
     `top_k` is set, only the top-scoring detections survive.
     """
-    pooled: list[Detection] = []
-    for factor, dets in per_resolution:
-        pooled.extend(gate_predictions(dets, factor, scale_range))
-    pooled.sort(key=_det_order_key)
-    fused = soft_nms(pooled, cfg)
-    if top_k is not None:
-        fused = fused[:top_k]
-    return fused
+    table = _gated_table(per_resolution, scale_range)
+    return _detections(_suppress(table, cfg or SoftNmsConfig())[:top_k])

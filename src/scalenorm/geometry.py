@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -21,6 +23,9 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and math.isfinite(self.w) and math.isfinite(self.h)):
+            raise ValueError(f"non-finite box: {self!r}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"degenerate box: w={self.w!r}, h={self.h!r}")
         if self.x < 0 or self.y < 0:
@@ -131,13 +136,24 @@ def project_box(box: BBox, factor: float) -> BBox:
     return BBox(box.x * factor, box.y * factor, box.w * factor, box.h * factor)
 
 
+def to_corners(xywh: np.ndarray) -> np.ndarray:
+    """(N, 4) rows (x, y, w, h) as corner rows (x1, y1, x2, y2), x2 = x + w."""
+    return np.hstack((xywh[:, :2], xywh[:, :2] + xywh[:, 2:4]))
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) intersection over union of corner rows a (N, 4) and b (M, 4),
+    inter / (area_a + area_b - inter); 0 for disjoint pairs."""
+    if not len(a) or not len(b):
+        return np.zeros((len(a), len(b)))
+    iw = np.clip(np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0]), 0.0, None)
+    ih = np.clip(np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1]), 0.0, None)
+    inter = iw * ih
+    area_a, area_b = ((c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1]) for c in (a, b))
+    return inter / (area_a[:, None] + area_b - inter)
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0 when disjoint."""
-    iw = min(a.x2, b.x2) - max(a.x, b.x)
-    if iw <= 0:
-        return 0.0
-    ih = min(a.y2, b.y2) - max(a.y, b.y)
-    if ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    ca, cb = (to_corners(np.array([[box.x, box.y, box.w, box.h]])) for box in (a, b))
+    return float(iou_matrix(ca, cb)[0, 0])

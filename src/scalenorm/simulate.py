@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataio import Dataset, ImageInfo
 from .evaluation import EvalConfig, EvalResult, evaluate
+# benchmark/spans.py traces gate_predictions and soft_nms under this module's names.
 from .fusion import SoftNmsConfig, UNBOUNDED_RANGE, fuse_multiscale, gate_predictions, soft_nms
 from .geometry import (
     BBox,
@@ -223,19 +224,12 @@ def strategy_detections(
     nms_cfg = nms_cfg or SoftNmsConfig()
 
     if strategy == "single_scale":
-        match = [pair for pair in per_resolution if pair[0] == single_scale_factor]
-        if not match:
+        # One resolution, ungated: naive fusion over the matching factor.
+        per_resolution = [pair for pair in per_resolution if pair[0] == single_scale_factor][:1]
+        if not per_resolution:
             raise ValueError(
                 f"single_scale factor {single_scale_factor} not among resolutions"
             )
-        factor, dets = match[0]
-        grouped = _group_by_image(dets)
-        fused = []
-        for img in image_ids:
-            projected = gate_predictions(grouped.get(img, []), factor, UNBOUNDED_RANGE)
-            kept = soft_nms(projected, nms_cfg)
-            fused.extend(kept if top_k is None else kept[:top_k])
-        return fused
 
     gate = scale_range if strategy == "isn" else UNBOUNDED_RANGE
     grouped_all = [(factor, _group_by_image(dets)) for factor, dets in per_resolution]

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -213,6 +214,35 @@ class TestErrorSurface:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize(
+        "override, key", [("soft_nm.sigma=0.7", "soft_nm"), ("fusion_topk=5", "fusion_topk")]
+    )
+    def test_unknown_config_key_names_key(self, tmp_path, capsys, override, key):
+        dets = tmp_path / "dets.json"
+        write_json(dets, [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
+        code = run_cli(
+            "fuse", "--dets", dets, "--set", override, "--out", tmp_path / "fused.json"
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+        assert not (tmp_path / "fused.json").exists()
+
+    @pytest.mark.parametrize("bbox", [[math.nan, 0, 5, 10], [0, 0, math.inf, 10]])
+    def test_non_finite_bbox_names_record(self, tmp_path, annotations, capsys, bbox):
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([PERFECT_DETECTIONS[0], dict(PERFECT_DETECTIONS[1], bbox=bbox)]))
+        code = run_cli(
+            "eval", "--annotations", annotations, "--dets", dets,
+            "--out", tmp_path / "metrics.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: detection #1: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

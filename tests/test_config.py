@@ -23,6 +23,13 @@ class TestDefaults:
         assert cfg.scale_range == ScaleRange(8.0, 320.0)
         assert cfg.pyramid.factors == (4.0, 2.0, 1.0, 0.5, 0.25)
 
+    @pytest.mark.parametrize("key", ["soft_nm", "fusion_topk"])
+    def test_unknown_top_level_key_rejected(self, key):
+        data = AppConfig().to_dict()
+        data[key] = 5
+        with pytest.raises(ValueError, match=repr(key)):
+            AppConfig.from_dict(data)
+
     def test_with_seed_propagates_to_detector(self):
         cfg = AppConfig().with_seed(42)
         assert cfg.seed == 42 and cfg.detector.seed == 42

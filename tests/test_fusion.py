@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from scalenorm import (
@@ -10,6 +11,7 @@ from scalenorm import (
     UNBOUNDED_RANGE,
     fuse_multiscale,
     gate_predictions,
+    project_box,
     soft_nms,
 )
 
@@ -17,6 +19,7 @@ from conftest import make_detection, random_box
 from oracles import classic_nms, soft_nms_reference
 
 RANGE = ScaleRange(16.0, 560.0)
+POWER_OF_TWO_FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25)
 
 
 def det_of_scale(scale, score, x=0.0, y=0.0, category_id=1, resolution_index=0):
@@ -211,3 +214,161 @@ class TestSoftNmsConfig:
             SoftNmsConfig(iou_threshold=1.0)
         with pytest.raises(ValueError):
             SoftNmsConfig(score_floor=1.0)
+
+
+def _order_key(d):
+    b = d.bbox
+    return (-d.score, d.resolution_index, b.x, b.y, b.w, b.h, d.category_id)
+
+
+# Within a category every distinct box gets its own score from this list and
+# coordinates are continuous, so Soft-NMS meets an exact tie in current score
+# between distinct boxes only at score 0, where the pick order changes no
+# value. Algorithm 1 leaves other such ties open, and the reference's
+# swap-to-front order breaks them differently from the candidate order.
+# Categories share the list, so candidate keys still tie across categories
+# and resolutions.
+TIE_SCORES = tuple(round(1.0 - 0.03 * k, 2) for k in range(32))
+
+
+def tie_heavy_stack(rng, n_resolutions):
+    """Per-resolution detections with many exact ties in the candidate order:
+    every category draws its scores from one short list, some boxes repeat
+    in a second category with the same score, and each original-image box is
+    seen, at the same score, at several power-of-two resolutions."""
+    factors = [float(f) for f in rng.choice(POWER_OF_TWO_FACTORS, n_resolutions, replace=False)]
+    free_scores = {cat: list(rng.permutation(TIE_SCORES)) for cat in (1, 2, 3)}
+    originals = []
+    for _ in range(int(rng.integers(1, 30))):
+        box = tuple(float(v) for v in np.concatenate([rng.uniform(0, 80, 2), rng.uniform(4, 48, 2)]))
+        cat = int(rng.integers(1, 4))
+        score = float(free_scores[cat].pop())
+        originals.append((box, cat, score))
+        other = cat % 3 + 1
+        if rng.random() < 0.3 and score in free_scores[other]:
+            free_scores[other].remove(score)
+            originals.append((box, other, score))
+    stack = []
+    for index, factor in enumerate(factors):
+        dets = [
+            Detection(BBox(*(v * factor for v in box)), cat, score, 1, index)
+            for box, cat, score in originals
+            if rng.random() < 0.7
+        ]
+        stack.append((factor, dets))
+    return stack
+
+
+def reference_fusion(stack, scale_range, cfg):
+    """Independent gate, projection and per-category reference Soft-NMS.
+
+    Returns sorted (category, x1, y1, x2, y2, score) rows. Factors are
+    powers of two, so dividing by them projects exactly.
+    """
+    pooled = []
+    for factor, dets in stack:
+        for d in dets:
+            b = d.bbox
+            if scale_range.lower <= math.sqrt(b.w * b.h) <= scale_range.upper:
+                box = (b.x / factor, b.y / factor, b.w / factor, b.h / factor)
+                pooled.append((-d.score, d.resolution_index, *box, d.category_id))
+    pooled.sort()
+    rows = []
+    for cat in sorted({p[-1] for p in pooled}):
+        group = [p for p in pooled if p[-1] == cat]
+        boxes, scores = soft_nms_reference(
+            [p[2:6] for p in group], [-p[0] for p in group],
+            cfg.method, cfg.sigma, cfg.iou_threshold, cfg.score_floor,
+        )
+        for (x, y, w, h), score in zip(boxes, scores):
+            rows.append((cat, float(x), float(y), float(x + w), float(y + h), float(score)))
+    return sorted(rows)
+
+
+class TestColumnarFusion:
+    @pytest.mark.parametrize("method", ["gaussian", "linear", "hard"])
+    def test_tie_heavy_cases_match_reference(self, rng, method):
+        for case in range(150):
+            cfg = SoftNmsConfig(
+                method=method,
+                sigma=float(rng.choice([0.3, 0.5])),
+                iou_threshold=float(rng.choice([0.3, 0.5])),
+                score_floor=float(rng.choice([0.0, 0.001, 0.2])),
+            )
+            stack = tie_heavy_stack(rng, int(rng.integers(1, 6)))
+            window = (RANGE, UNBOUNDED_RANGE, ScaleRange(8.0, 40.0))[case % 3]
+            full = fuse_multiscale(stack, window, cfg, top_k=None)
+
+            got = sorted(
+                (d.category_id, d.bbox.x, d.bbox.y, d.bbox.x2, d.bbox.y2, d.score)
+                for d in full
+            )
+            # Same arithmetic in the same order as the reference: equal bits.
+            assert got == reference_fusion(stack, window, cfg)
+
+            assert [_order_key(d) for d in full] == sorted(_order_key(d) for d in full)
+            for k in (5, 30, 100):
+                assert fuse_multiscale(stack, window, cfg, top_k=k) == full[:k]
+
+    def test_top_k_cut_inside_equal_scores(self):
+        # Ten disjoint boxes tie at 0.5 across two resolutions; the cut keeps
+        # the lowest resolution index first, then the smallest x.
+        stack = [
+            (1.0, [Detection(BBox(50.0 * i, 0, 20, 20), 1, 0.5, 1, 1) for i in range(5)]),
+            (2.0, [Detection(BBox(100.0 * i + 2000, 0, 40, 40), 1, 0.5, 1, 0) for i in range(5)]),
+            (0.5, [Detection(BBox(150.0, 150.0, 20, 20), 1, 0.9, 1, 2)]),
+        ]
+        fused = fuse_multiscale(stack, RANGE, top_k=4)
+        assert [(d.score, d.resolution_index, d.bbox.x) for d in fused] == [
+            (0.9, 2, 300.0),
+            (0.5, 0, 1000.0),
+            (0.5, 0, 1050.0),
+            (0.5, 0, 1100.0),
+        ]
+
+    def test_resolution_order_invariance_with_ties(self, rng):
+        for _ in range(50):
+            stack = tie_heavy_stack(rng, int(rng.integers(2, 6)))
+            forward = fuse_multiscale(stack, RANGE)
+            assert fuse_multiscale(stack[::-1], RANGE) == forward
+            shuffled = [stack[i] for i in rng.permutation(len(stack))]
+            assert fuse_multiscale(shuffled, RANGE) == forward
+
+    def test_no_score_raised(self, rng):
+        for method in ("gaussian", "linear", "hard"):
+            cfg = SoftNmsConfig(method=method)
+            for _ in range(30):
+                stack = tie_heavy_stack(rng, int(rng.integers(1, 6)))
+                best_input = {}
+                for factor, dets in stack:
+                    for d in dets:
+                        b = d.bbox
+                        key = (d.resolution_index, d.category_id, b.x / factor, b.y / factor)
+                        best_input[key] = max(best_input.get(key, 0.0), d.score)
+                for d in fuse_multiscale(stack, UNBOUNDED_RANGE, cfg, top_k=None):
+                    key = (d.resolution_index, d.category_id, d.bbox.x, d.bbox.y)
+                    assert d.score <= best_input[key]
+
+    def test_equal_duplicates_keep_the_earliest_candidate(self):
+        # The same box at the same score from two resolutions: the lower
+        # resolution index is picked first and keeps its score.
+        stack = [
+            (2.0, [Detection(BBox(20, 20, 60, 60), 1, 0.7, 1, 1)]),
+            (1.0, [Detection(BBox(10, 10, 30, 30), 1, 0.7, 1, 0)]),
+        ]
+        first, second = fuse_multiscale(stack, RANGE, SoftNmsConfig(sigma=0.5))
+        assert (first.resolution_index, first.score) == (0, 0.7)
+        assert second.resolution_index == 1
+        assert second.score == pytest.approx(0.7 * math.exp(-2.0), abs=1e-12)
+
+    def test_gate_keeps_both_range_ends(self):
+        low, high = det_of_scale(16.0, 0.5), det_of_scale(560.0, 0.5, x=1000.0)
+        assert gate_predictions([low, high], 1.0, RANGE) == [low, high]
+        assert len(fuse_multiscale([(1.0, [low, high])], RANGE)) == 2
+
+    def test_gate_projects_by_inverse_factor(self):
+        # 10 / 3 and 10 * (1 / 3) differ in the last bit.
+        det = Detection(BBox(10.0, 10.0, 60.0, 60.0), 1, 0.5, 1, 0)
+        (kept,) = gate_predictions([det], 3.0, RANGE)
+        assert kept.bbox.x == 10.0 * (1.0 / 3.0) != 10.0 / 3.0
+        assert kept.bbox == project_box(det.bbox, 1.0 / 3.0)

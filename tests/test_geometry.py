@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from scalenorm import BBox, Detection, Instance, PyramidSpec, ScaleRange
-from scalenorm.geometry import instance_scale, iou, project_box, resize_plan
+from scalenorm.geometry import instance_scale, iou, iou_matrix, project_box, resize_plan, to_corners
 
 from conftest import random_box
-from oracles import iou_grid_count
+from oracles import _iou_corners, iou_grid_count, xywh_to_corners
 
 
 class TestBBox:
@@ -19,6 +20,21 @@ class TestBBox:
     def test_rejects_negative_origin(self):
         with pytest.raises(ValueError):
             BBox(-1, 0, 5, 5)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (math.nan, 0, 5, 10),
+            (0, math.nan, 5, 10),
+            (0, 0, math.inf, 10),
+            (0, 0, 5, math.inf),
+            (math.inf, 0, 5, 10),
+            (0, 0, 5, math.nan),
+        ],
+    )
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError, match="non-finite"):
+            BBox(*coords)
 
     def test_derived_fields(self):
         b = BBox(2, 3, 4, 5)
@@ -115,6 +131,18 @@ class TestIou:
             v = iou(a, b)
             assert v == iou(b, a)
             assert 0.0 <= v <= 1.0
+
+    def test_matrix_matches_corner_reference(self, rng):
+        a = [random_box(rng) for _ in range(7)]
+        b = [random_box(rng) for _ in range(5)]
+        ca, cb = (to_corners(np.array([(q.x, q.y, q.w, q.h) for q in boxes])) for boxes in (a, b))
+        want = [
+            [_iou_corners(xywh_to_corners((p.x, p.y, p.w, p.h)),
+                          xywh_to_corners((q.x, q.y, q.w, q.h))) for q in b]
+            for p in a
+        ]
+        np.testing.assert_allclose(iou_matrix(ca, cb), want, rtol=0, atol=1e-12)
+        assert iou_matrix(ca, np.empty((0, 4))).shape == (7, 0)
 
     def test_matches_grid_count_oracle(self, rng):
         for _ in range(200):

@@ -1,9 +1,44 @@
+import json
 import math
 
 import pytest
 
 from scalenorm import ScaleRange
 from scalenorm.config import AppConfig, apply_override, parse_factors, parse_range
+from scalenorm.evaluation import EvalConfig
+from scalenorm.fusion import SoftNmsConfig
+from scalenorm.geometry import PyramidSpec
+from scalenorm.pyramid import FpnAssignConfig
+from scalenorm.search import SearchSpace
+from scalenorm.simulate import DetectorProfile
+
+# Every field differs from its default, including a None top-k, an unbounded
+# scale range and a set evaluation scale restriction.
+OFF_DEFAULT = AppConfig(
+    pyramid=PyramidSpec((3.0, 1.5, 0.75)),
+    scale_range=ScaleRange(8.0, math.inf),
+    soft_nms=SoftNmsConfig("linear", 0.25, 0.45, 0.01),
+    fusion_top_k=None,
+    eval=EvalConfig((0.5, 0.75), 11, 20, ScaleRange(24.0, 480.0), 256.0, 4096.0),
+    search=SearchSpace((0.0, 8.0, 24.0), (256.0, 512.0), ScaleRange(8.0, 512.0)),
+    detector=DetectorProfile(24.0, 400.0, 0.9, 0.4, 0.03, 1.5, 0.25, 0.7, 0.05, 0.2, 0.1, 5),
+    fpn=FpnAssignConfig(112.0, 3, 1, 6),
+    seed=11,
+)
+
+OFF_DEFAULT_JSON = (
+    '{"detector": {"fp_rate": 0.25, "fp_score_mean": 0.2, "fp_score_std": 0.1, '
+    '"loc_noise_frac": 0.03, "loc_noise_growth": 1.5, "p_detect_decay": 0.4, '
+    '"p_detect_in_band": 0.9, "seed": 5, "sweet_high": 400.0, "sweet_low": 24.0, '
+    '"tp_score_mean": 0.7, "tp_score_std": 0.05}, '
+    '"eval": {"iou_thresholds": [0.5, 0.75], "large_area": 4096.0, "max_dets": 20, '
+    '"recall_points": 11, "scale_restriction": [24.0, 480.0], "small_area": 256.0}, '
+    '"fpn": {"canonical_level": 3, "canonical_scale": 112.0, "max_level": 6, "min_level": 1}, '
+    '"fusion_top_k": null, "pyramid_factors": [3.0, 1.5, 0.75], "scale_range": [8.0, null], '
+    '"search": {"initial": [8.0, 512.0], "lower_candidates": [0.0, 8.0, 24.0], '
+    '"upper_candidates": [256.0, 512.0]}, "seed": 11, '
+    '"soft_nms": {"iou_threshold": 0.45, "method": "linear", "score_floor": 0.01, "sigma": 0.25}}'
+)
 
 
 class TestDefaults:
@@ -17,6 +52,13 @@ class TestDefaults:
     def test_dict_round_trip(self):
         cfg = AppConfig()
         assert AppConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_off_default_json_pinned(self):
+        assert json.dumps(OFF_DEFAULT.to_dict(), sort_keys=True) == OFF_DEFAULT_JSON
+
+    def test_off_default_round_trip(self):
+        assert AppConfig.from_dict(OFF_DEFAULT.to_dict()) == OFF_DEFAULT
+        assert AppConfig.from_dict(json.loads(OFF_DEFAULT_JSON)) == OFF_DEFAULT
 
     def test_partial_dict_keeps_defaults(self):
         cfg = AppConfig.from_dict({"scale_range": [8, 320]})

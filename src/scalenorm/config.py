@@ -4,12 +4,20 @@ The default pyramid is {4.0, 2.0, 1.0, 0.5, 0.25} and the default scale range
 [16, 560]. Every field can be overridden by a config file (`--config`) and
 then by command-line flags; the effective configuration is echoed into every
 JSON output for provenance.
+
+The JSON form is derived from the dataclass fields and their annotations.
+Reading it is strict at every depth: unknown keys are rejected, sections must
+be objects, an `int` takes a JSON integer (never a bool), a `float` a finite
+number and a `str` a string, and every error names the dotted key.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 from .evaluation import EvalConfig
 from .fusion import SoftNmsConfig
@@ -20,15 +28,71 @@ from .simulate import DetectorProfile
 
 DEFAULT_FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25)
 DEFAULT_RANGE = ScaleRange(16.0, 560.0)
-_TOP_LEVEL_KEYS = frozenset(
-    ("pyramid_factors", "scale_range", "soft_nms", "fusion_top_k", "eval", "search",
-     "detector", "fpn", "seed")
-)
+# Types stored as a JSON list: (annotation of the list, constructor from it).
+_LISTED = {
+    ScaleRange: (tuple[float | None, ...], ScaleRange.from_pair),
+    PyramidSpec: (tuple[float, ...], PyramidSpec),
+}
+_SCALARS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, str, object], ...]:
+    """(attribute, JSON key, resolved annotation) of each field of `cls`."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("key", f.name), hints[f.name]) for f in fields(cls))
+
+
+def _encode(value):
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, ScaleRange):
+        return value.to_pair()
+    if isinstance(value, PyramidSpec):
+        return list(value.factors)
+    if isinstance(value, tuple):
+        return list(value)
+    return {key: _encode(getattr(value, name)) for name, key, _ in _fields(type(value))}
+
+
+def _decode(value, hint, path: str):
+    """`value` checked against the annotation `hint`; errors name `path`."""
+    if hint in _SCALARS:
+        if (not isinstance(value, (int, float) if hint is float else hint)
+                or isinstance(value, bool) or (hint is float and not math.isfinite(value))):
+            raise ValueError(f"config key {path!r}: expected {_SCALARS[hint]}, got {value!r}")
+        return float(value) if hint is float else value
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(value, args[0], path)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"config key {path!r}: expected a list, got {value!r}")
+        return tuple(_decode(v, args[0], path) for v in value)
+    if hint in _LISTED:
+        listed, build = _LISTED[hint]
+        value = _decode(value, listed, path)
+    else:  # a config dataclass
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {path!r}: expected an object, got {value!r}")
+        known = {key: (name, h) for name, key, h in _fields(hint)}
+        keys = {k: f"{path}.{k}" if path else k for k in value}
+        unknown = sorted(keys[k] for k in value if k not in known)
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+        value = {known[k][0]: _decode(v, known[k][1], keys[k]) for k, v in value.items()}
+        build = lambda kwargs: hint(**kwargs)  # noqa: E731
+    try:
+        return build(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {path!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class AppConfig:
-    pyramid: PyramidSpec = PyramidSpec(DEFAULT_FACTORS)
+    pyramid: PyramidSpec = field(
+        default=PyramidSpec(DEFAULT_FACTORS), metadata={"key": "pyramid_factors"}
+    )
     scale_range: ScaleRange = DEFAULT_RANGE
     soft_nms: SoftNmsConfig = SoftNmsConfig()
     fusion_top_k: int | None = 100
@@ -39,101 +103,11 @@ class AppConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "pyramid_factors": list(self.pyramid.factors),
-            "scale_range": self.scale_range.to_pair(),
-            "soft_nms": {
-                "method": self.soft_nms.method,
-                "sigma": self.soft_nms.sigma,
-                "iou_threshold": self.soft_nms.iou_threshold,
-                "score_floor": self.soft_nms.score_floor,
-            },
-            "fusion_top_k": self.fusion_top_k,
-            "eval": {
-                "iou_thresholds": list(self.eval.iou_thresholds),
-                "recall_points": self.eval.recall_points,
-                "max_dets": self.eval.max_dets,
-                "scale_restriction": (
-                    None
-                    if self.eval.scale_restriction is None
-                    else self.eval.scale_restriction.to_pair()
-                ),
-                "small_area": self.eval.small_area,
-                "large_area": self.eval.large_area,
-            },
-            "search": {
-                "lower_candidates": list(self.search.lower_candidates),
-                "upper_candidates": list(self.search.upper_candidates),
-                "initial": self.search.initial.to_pair(),
-            },
-            "detector": {
-                "sweet_low": self.detector.sweet_low,
-                "sweet_high": self.detector.sweet_high,
-                "p_detect_in_band": self.detector.p_detect_in_band,
-                "p_detect_decay": self.detector.p_detect_decay,
-                "loc_noise_frac": self.detector.loc_noise_frac,
-                "loc_noise_growth": self.detector.loc_noise_growth,
-                "fp_rate": self.detector.fp_rate,
-                "tp_score_mean": self.detector.tp_score_mean,
-                "tp_score_std": self.detector.tp_score_std,
-                "fp_score_mean": self.detector.fp_score_mean,
-                "fp_score_std": self.detector.fp_score_std,
-                "seed": self.detector.seed,
-            },
-            "fpn": {
-                "canonical_scale": self.fpn.canonical_scale,
-                "canonical_level": self.fpn.canonical_level,
-                "min_level": self.fpn.min_level,
-                "max_level": self.fpn.max_level,
-            },
-            "seed": self.seed,
-        }
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AppConfig":
-        unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-        cfg = cls()
-        if "pyramid_factors" in data:
-            cfg = replace(cfg, pyramid=PyramidSpec(tuple(data["pyramid_factors"])))
-        if "scale_range" in data:
-            cfg = replace(cfg, scale_range=ScaleRange.from_pair(data["scale_range"]))
-        if "soft_nms" in data:
-            cfg = replace(cfg, soft_nms=SoftNmsConfig(**data["soft_nms"]))
-        if "fusion_top_k" in data:
-            top_k = data["fusion_top_k"]
-            cfg = replace(cfg, fusion_top_k=None if top_k is None else int(top_k))
-        if "eval" in data:
-            section = dict(data["eval"])
-            if "iou_thresholds" in section:
-                section["iou_thresholds"] = tuple(section["iou_thresholds"])
-            if section.get("scale_restriction") is not None:
-                section["scale_restriction"] = ScaleRange.from_pair(
-                    section["scale_restriction"]
-                )
-            cfg = replace(cfg, eval=EvalConfig(**section))
-        if "search" in data:
-            section = dict(data["search"])
-            kwargs = {}
-            if "lower_candidates" in section:
-                kwargs["lower_candidates"] = tuple(
-                    float(v) for v in section["lower_candidates"]
-                )
-            if "upper_candidates" in section:
-                kwargs["upper_candidates"] = tuple(
-                    float(v) for v in section["upper_candidates"]
-                )
-            if "initial" in section:
-                kwargs["initial"] = ScaleRange.from_pair(section["initial"])
-            cfg = replace(cfg, search=SearchSpace(**kwargs))
-        if "detector" in data:
-            cfg = replace(cfg, detector=DetectorProfile(**data["detector"]))
-        if "fpn" in data:
-            cfg = replace(cfg, fpn=FpnAssignConfig(**data["fpn"]))
-        if "seed" in data:
-            cfg = replace(cfg, seed=int(data["seed"]))
-        return cfg
+        return _decode(data, cls, "")
 
     def with_seed(self, seed: int) -> "AppConfig":
         return replace(self, seed=seed, detector=replace(self.detector, seed=seed))
@@ -141,8 +115,6 @@ class AppConfig:
 
 def apply_override(data: dict, assignment: str) -> dict:
     """Apply one 'dotted.path=json_value' override to a config dict."""
-    import json
-
     if "=" not in assignment:
         raise ValueError(f"expected 'path=value', got {assignment!r}")
     path, _, raw = assignment.partition("=")

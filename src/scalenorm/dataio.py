@@ -18,7 +18,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .geometry import BBox, Detection, Instance
+from .geometry import BBox, Detection, Instance, ScaleRange
 from .sampling import SnipEntry, SnipRangeTable
 
 
@@ -142,7 +142,7 @@ def dataset_to_dict(dataset: Dataset) -> dict:
 
 
 def load_annotations(path: str | os.PathLike) -> Dataset:
-    return dataset_from_dict(_read_json(path))
+    return dataset_from_dict(load_json(path))
 
 
 def detection_records(data) -> list[dict]:
@@ -173,15 +173,19 @@ def _detection_from_record(rec: dict, index: int) -> tuple[Detection, float | No
     except ValueError as exc:
         raise DataFormatError(f"{context}: {exc}")
     factor = rec.get("scale_factor")
+    if factor is not None and not (isinstance(factor, (int, float)) and 0 < factor < math.inf):
+        raise DataFormatError(
+            f"{context}: scale_factor must be a finite positive number, got {factor!r}"
+        )
     return det, None if factor is None else float(factor)
 
 
 def load_detection_records(path: str | os.PathLike) -> list[dict]:
-    return detection_records(_read_json(path))
+    return detection_records(load_json(path))
 
 
 def load_detections(path: str | os.PathLike) -> list[Detection]:
-    """Flat detection list; any scale_factor tags are ignored."""
+    """Flat detection list; scale_factor tags are checked, then dropped."""
     records = load_detection_records(path)
     return [_detection_from_record(rec, i)[0] for i, rec in enumerate(records)]
 
@@ -214,11 +218,6 @@ def load_tagged_detections(path: str | os.PathLike) -> list[tuple[float, list[De
     return tagged_detections_from_records(load_detection_records(path))
 
 
-def load_json(path: str | os.PathLike):
-    """Parse a JSON file, wrapping syntax errors in DataFormatError."""
-    return _read_json(path)
-
-
 def detections_to_records(
     dets: list[Detection], factor: float | None = None
 ) -> list[dict]:
@@ -239,7 +238,7 @@ def detections_to_records(
 
 def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], dict]:
     """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}]."""
-    data = _read_json(path)
+    data = load_json(path)
     if isinstance(data, dict):
         data = data.get("entries")
     if not isinstance(data, list):
@@ -249,16 +248,19 @@ def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], dict
     table = {}
     for i, rec in enumerate(data):
         pair = _require(rec, "range", f"lookup entry #{i}")
-        lower, upper = float(pair[0]), math.inf if pair[1] is None else float(pair[1])
+        try:
+            rng = ScaleRange.from_pair(pair)
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"lookup entry #{i}: bad range {pair!r}: {exc}")
         if "ap" not in rec:
             raise DataFormatError(f"lookup entry #{i}: missing field 'ap'")
-        table[(lower, upper)] = {k: v for k, v in rec.items() if k != "range"}
+        table[(rng.lower, rng.upper)] = {k: v for k, v in rec.items() if k != "range"}
     return table
 
 
 def load_snip_table(path: str | os.PathLike) -> SnipRangeTable:
     """Table entries: [{"resolution": [h, w], "valid_range": [lo, hi], "scale_factor": f?}]."""
-    data = _read_json(path)
+    data = load_json(path)
     if isinstance(data, dict):
         data = data.get("entries")
     if not isinstance(data, list) or not data:
@@ -278,12 +280,13 @@ def load_snip_table(path: str | os.PathLike) -> SnipRangeTable:
                     factor=None if factor is None else float(factor),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             raise DataFormatError(f"table entry #{i}: {exc}")
     return SnipRangeTable(tuple(entries))
 
 
-def _read_json(path: str | os.PathLike):
+def load_json(path: str | os.PathLike):
+    """Parse a JSON file, wrapping syntax errors in DataFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -15,8 +15,6 @@ ignored while detections outside it are discarded before matching.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -125,13 +123,6 @@ class EvalResult:
         ]
         rows.extend((str(cat), "ap", v) for cat, v in sorted(self.per_category.items()))
         return rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("category", "metric", "value"))
-        writer.writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 class _ImageUnit:

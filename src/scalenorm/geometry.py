@@ -109,8 +109,8 @@ class PyramidSpec:
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("pyramid needs at least one scaling factor")
-        if any(f <= 0 for f in factors):
-            raise ValueError(f"scaling factors must be positive: {factors}")
+        if not all(0 < f < math.inf for f in factors):
+            raise ValueError(f"scaling factors must be positive and finite: {factors}")
         if len(set(factors)) != len(factors):
             raise ValueError(f"duplicate scaling factors: {factors}")
 

@@ -44,11 +44,11 @@ class SearchSpace:
 
 
 class ApOracle:
-    """Memoizing range -> metrics oracle around a callback or lookup table."""
+    """Range -> metrics oracle around a callback or lookup table, counting
+    its calls; the search itself probes each range at most once."""
 
     def __init__(self, fn: Callable[[ScaleRange], EvalResult]):
         self._fn = fn
-        self._cache: dict[tuple[float, float], EvalResult] = {}
         self.calls = 0
 
     @classmethod
@@ -64,11 +64,8 @@ class ApOracle:
         return cls(lookup)
 
     def query(self, rng: ScaleRange) -> EvalResult:
-        key = (rng.lower, rng.upper)
-        if key not in self._cache:
-            self.calls += 1
-            self._cache[key] = self._fn(rng)
-        return self._cache[key]
+        self.calls += 1
+        return self._fn(rng)
 
 
 def greedy_range_search(

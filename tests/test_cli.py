@@ -49,7 +49,10 @@ class TestEvalCommand:
         payload = json.loads(out.read_text())
         assert payload["metrics"]["ap"] == 1.0
         assert "config" in payload
-        assert csv_out.read_text().splitlines()[0] == "category,metric,value"
+        lines = csv_out.read_text().splitlines()
+        assert lines[0] == "category,metric,value"
+        assert lines[1].startswith("all,ap,")
+        assert lines[-1].startswith("1,ap,")
 
     def test_scale_range_reports_both(self, tmp_path, annotations):
         dets = tmp_path / "dets.json"
@@ -216,7 +219,19 @@ class TestErrorSurface:
         assert err.startswith("error:") and err.strip().count("\n") == 0
 
     @pytest.mark.parametrize(
-        "override, key", [("soft_nm.sigma=0.7", "soft_nm"), ("fusion_topk=5", "fusion_topk")]
+        "override, key",
+        [
+            ("soft_nm.sigma=0.7", "soft_nm"),
+            ("fusion_topk=5", "fusion_topk"),
+            ("search.foo=1", "search.foo"),
+            ("eval.foo=1", "eval.foo"),
+            ("seed=1.7", "seed"),
+            ("fusion_top_k=2.9", "fusion_top_k"),
+            ("eval.max_dets=true", "eval.max_dets"),
+            ("soft_nms.sigma=NaN", "soft_nms.sigma"),
+            ("soft_nms.method=3", "soft_nms.method"),
+            ("soft_nms.sigma=-1", "soft_nms"),
+        ],
     )
     def test_unknown_config_key_names_key(self, tmp_path, capsys, override, key):
         dets = tmp_path / "dets.json"
@@ -243,6 +258,41 @@ class TestErrorSurface:
         assert err.startswith("error: detection #1: ") and err.count("\n") == 1
         assert "non-finite" in err
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("factors", ["inf,1", "nan,1"])
+    def test_non_finite_factors_rejected(self, tmp_path, annotations, capsys, factors):
+        out = tmp_path / "hist.csv"
+        code = run_cli(
+            "stage-hist", "--annotations", annotations, "--factors", factors, "--out", out
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("factor", ["NaN", "Infinity"])
+    def test_non_finite_scale_factor_names_record(self, tmp_path, capsys, factor):
+        dets = tmp_path / "dets.json"
+        records = [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS]
+        text = json.dumps(records).replace('"scale_factor": 1.0}]', f'"scale_factor": {factor}}}]')
+        assert factor in text
+        dets.write_text(text)
+        out = tmp_path / "fused.json"
+        assert run_cli("fuse", "--dets", dets, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: detection #1: scale_factor") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pair", [[640, 16], [5]])
+    def test_bad_lookup_range_names_entry(self, tmp_path, capsys, pair):
+        table = tmp_path / "table.json"
+        write_json(table, [{"range": [0, 640], "ap": 37.4}, {"range": pair, "ap": 38.0}])
+        out = tmp_path / "search.json"
+        assert run_cli("search", "--table", table, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lookup entry #1: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

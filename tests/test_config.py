@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -71,6 +72,31 @@ class TestDefaults:
         data[key] = 5
         with pytest.raises(ValueError, match=repr(key)):
             AppConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"search": {"foo": 1}}, "unknown config key(s): 'search.foo'"),
+            ({"eval": [1]}, "config key 'eval': expected an object, got [1]"),
+            ({"eval": {"iou_thresholds": 0.5}}, "config key 'eval.iou_thresholds': expected a list"),
+            ({"eval": {"scale_restriction": [16, math.inf]}},
+             "config key 'eval.scale_restriction': expected a finite number, got inf"),
+            ({"pyramid_factors": [1.0, True]}, "config key 'pyramid_factors': expected a finite"),
+            ({"fpn": {"min_level": 1.0}}, "config key 'fpn.min_level': expected an integer"),
+            ({"fusion_top_k": "5"}, "config key 'fusion_top_k': expected an integer, got '5'"),
+            ({"soft_nms": {"method": None}}, "config key 'soft_nms.method': expected a string"),
+            ({"scale_range": [560, 16]}, "config key 'scale_range': invalid scale range"),
+            ({"search": {"initial": [8, 640]}}, "config key 'search': initial bounds"),
+        ],
+    )
+    def test_strict_decoding_names_key(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AppConfig.from_dict(data)
+
+    def test_integer_for_float_field_stored_as_float(self):
+        cfg = AppConfig.from_dict({"soft_nms": {"sigma": 1}, "scale_range": [8, None]})
+        assert json.dumps(cfg.to_dict()["soft_nms"]["sigma"]) == "1.0"
+        assert cfg.scale_range.to_pair() == [8.0, None]
 
     def test_with_seed_propagates_to_detector(self):
         cfg = AppConfig().with_seed(42)

@@ -114,6 +114,13 @@ class TestDetectionDumps:
         with pytest.raises(DataFormatError, match="detection #0"):
             load_detections(path)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0, -1.0, "2"])
+    def test_bad_scale_factor_names_record(self, factor):
+        records = detections_to_records([Detection(BBox(1, 2, 3, 4), 1, 0.5, 1)] * 2, 1.0)
+        records[1]["scale_factor"] = factor
+        with pytest.raises(DataFormatError, match="detection #1: scale_factor"):
+            tagged_detections_from_records(records)
+
 
 class TestTables:
     def test_oracle_table(self, tmp_path):
@@ -134,6 +141,21 @@ class TestTables:
         write_json(path, [{"range": [0, 640]}])
         with pytest.raises(DataFormatError, match="ap"):
             load_oracle_table(path)
+
+    @pytest.mark.parametrize("pair", [[640, 16], [5], [5, 10, 20], [-1, 10], None])
+    def test_oracle_table_bad_range_names_entry(self, tmp_path, pair):
+        path = tmp_path / "table.json"
+        write_json(path, [{"range": [0, 640], "ap": 37.4}, {"range": pair, "ap": 38.0}])
+        with pytest.raises(DataFormatError, match="lookup entry #1: "):
+            load_oracle_table(path)
+
+    @pytest.mark.parametrize("field, value", [("resolution", [800]), ("valid_range", [40])])
+    def test_snip_table_short_pair_names_entry(self, tmp_path, field, value):
+        entry = {"resolution": [800, 1200], "valid_range": [40, 160], field: value}
+        path = tmp_path / "snip.json"
+        write_json(path, [entry])
+        with pytest.raises(DataFormatError, match="table entry #0: "):
+            load_snip_table(path)
 
     def test_snip_table(self, tmp_path):
         path = tmp_path / "snip.json"

@@ -256,15 +256,6 @@ class TestSerialization:
         clone = EvalResult.from_dict(result.to_dict())
         assert clone == result
 
-    def test_csv_layout(self):
-        gt = make_instance(100.0)
-        result = evaluate([gt], [detection_for(gt, 0.9)])
-        text = result.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "category,metric,value"
-        assert lines[1].startswith("all,ap,")
-        assert lines[-1].startswith("1,ap,")
-
 
 class TestEvalConfigValidation:
     def test_threshold_ordering(self):

@@ -74,6 +74,11 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             PyramidSpec((1.0, -2.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_pyramid_rejects_non_finite_factor(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PyramidSpec((bad, 1.0))
+
 
 class TestInstanceScale:
     def test_known_values(self):

@@ -256,6 +256,18 @@ class TestSerialization:
         clone = EvalResult.from_dict(result.to_dict())
         assert clone == result
 
+    def test_csv_layout(self, tmp_path):
+        from scalenorm import dataio
+
+        gt = make_instance(100.0)
+        result = evaluate([gt], [detection_for(gt, 0.9)])
+        path = tmp_path / "metrics.csv"
+        dataio.write_csv(path, ("category", "metric", "value"), result.csv_rows())
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "category,metric,value"
+        assert lines[1].startswith("all,ap,")
+        assert lines[-1].startswith("1,ap,")
+
 
 class TestEvalConfigValidation:
     def test_threshold_ordering(self):

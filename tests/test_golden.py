@@ -1,7 +1,9 @@
 """Golden digests of the CLI pipeline's artifacts.
 
 The sha256 of every file written by the pipeline below (seed 17, 40 images)
-is pinned in `golden_digests.json`. A refactor that claims to preserve
+is pinned in `golden_digests.json`, together with the unrestricted `eval`
+(JSON and CSV), a restricted `eval` on a dataset with 20% crowd regions, and
+the `search --simulate` result on 8 images. A refactor that claims to preserve
 behaviour must leave every digest unchanged; a change that alters an output
 on purpose regenerates the file and says which artifact changed and why.
 
@@ -30,7 +32,14 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         "fused_naive.json": workdir / "fused_naive.json",
         "metrics.json": workdir / "metrics.json",
         "hist.csv": workdir / "hist.csv",
+        "metrics_unrestricted.json": workdir / "metrics_unrestricted.json",
+        "metrics_unrestricted.csv": workdir / "metrics_unrestricted.csv",
+        "crowd_metrics.json": workdir / "crowd_metrics.json",
+        "search.json": workdir / "search.json",
     }
+    crowd_ann = workdir / "crowd_annotations.json"
+    crowd_dets = workdir / "crowd_detections.json"
+    crowd_fused = workdir / "crowd_fused.json"
     commands = [
         ["simulate", "--images", "40", "--seed", "17", "--out", ann, "--out-dets", dets],
         ["fuse", "--dets", dets, "--out", paths["fused.json"]],
@@ -38,6 +47,14 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         ["eval", "--annotations", ann, "--dets", paths["fused.json"],
          "--scale-range", "16,560", "--out", paths["metrics.json"]],
         ["stage-hist", "--annotations", ann, "--out", paths["hist.csv"]],
+        ["eval", "--annotations", ann, "--dets", paths["fused.json"],
+         "--out", paths["metrics_unrestricted.json"], "--csv", paths["metrics_unrestricted.csv"]],
+        ["simulate", "--images", "40", "--seed", "17", "--crowd-fraction", "0.2",
+         "--out", crowd_ann, "--out-dets", crowd_dets],
+        ["fuse", "--dets", crowd_dets, "--out", crowd_fused],
+        ["eval", "--annotations", crowd_ann, "--dets", crowd_fused,
+         "--scale-range", "16,560", "--out", paths["crowd_metrics.json"]],
+        ["search", "--simulate", "--images", "8", "--seed", "17", "--out", paths["search.json"]],
     ]
     for argv in commands:
         assert cli_main([str(a) for a in argv]) == 0, argv

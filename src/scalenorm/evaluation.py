@@ -5,9 +5,17 @@ threshold): detections are ranked by score (stable on the input order) and
 matched to the unmatched ground truth with the highest IoU at or above the
 threshold. Ignored ground truth (crowd regions, out-of-bucket, or outside the
 scale restriction) can absorb detections without producing true or false
-positives; detections absorbed that way are removed from the precision/recall
-ranking. Average precision interpolates precision at evenly spaced recall
+positives. Average precision interpolates precision at evenly spaced recall
 points (101 by default) and averages over IoU thresholds and categories.
+
+Each (image, category) unit computes one IoU matrix and keeps, per detection,
+its candidates: the ground truth at or above the lowest threshold, the only
+ones it can ever match. Matching walks just the candidates and fills one lane
+per (area bucket, IoU threshold); a unit without candidates is never walked.
+All lanes of a category share one stable score ranking, in which absorbed
+detections (and unmatched ones outside the bucket) stay masked: they add to
+neither the TP nor the FP count and their precision is 0, so the AP and recall
+are those of the ranking without them.
 
 When a scale restriction is set, ground truth outside the window becomes
 ignored while detections outside it are discarded before matching.
@@ -23,6 +31,7 @@ import numpy as np
 from .geometry import Detection, Instance, ScaleRange, instance_scale, iou_matrix, to_corners
 
 BUCKET_NAMES = ("all", "small", "medium", "large")
+_HEADLINE = ("ap", "ap50", "ap75", "ap_s", "ap_m", "ap_l", "ar")  # EvalResult's scalars
 
 
 class EvaluationError(ValueError):
@@ -85,67 +94,53 @@ class EvalResult:
     per_category: dict[int, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "ap_s": self.ap_s,
-            "ap_m": self.ap_m,
-            "ap_l": self.ap_l,
-            "ar": self.ar,
-            "per_category": {str(k): v for k, v in sorted(self.per_category.items())},
-        }
+        d = {name: getattr(self, name) for name in _HEADLINE}
+        d["per_category"] = {str(k): v for k, v in sorted(self.per_category.items())}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalResult":
         return cls(
-            ap=float(d.get("ap", -1.0)),
-            ap50=float(d.get("ap50", -1.0)),
-            ap75=float(d.get("ap75", -1.0)),
-            ap_s=float(d.get("ap_s", -1.0)),
-            ap_m=float(d.get("ap_m", -1.0)),
-            ap_l=float(d.get("ap_l", -1.0)),
-            ar=float(d.get("ar", -1.0)),
-            per_category={
-                int(k): float(v) for k, v in d.get("per_category", {}).items()
-            },
+            **{name: float(d.get(name, -1.0)) for name in _HEADLINE},
+            per_category={int(k): float(v) for k, v in d.get("per_category", {}).items()},
         )
 
     def csv_rows(self) -> list[tuple[str, str, float]]:
-        rows = [
-            ("all", "ap", self.ap),
-            ("all", "ap50", self.ap50),
-            ("all", "ap75", self.ap75),
-            ("all", "ap_s", self.ap_s),
-            ("all", "ap_m", self.ap_m),
-            ("all", "ap_l", self.ap_l),
-            ("all", "ar", self.ar),
-        ]
+        rows = [("all", name, getattr(self, name)) for name in _HEADLINE]
         rows.extend((str(cat), "ap", v) for cat, v in sorted(self.per_category.items()))
         return rows
 
 
 class _ImageUnit:
-    """Cached per-(image, category) matching inputs shared across thresholds."""
+    """Per-(image, category) matching inputs shared by every bucket and threshold."""
 
-    __slots__ = ("gts", "dets", "scores", "ious", "base_ignore", "crowd", "gt_buckets", "det_buckets")
+    __slots__ = ("scores", "crowd", "gt_ignore", "det_buckets", "candidates")
 
     def __init__(self, gts: list[Instance], dets: list[Detection], cfg: EvalConfig):
-        self.gts = gts
         order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-        order = order[: cfg.max_dets]
-        self.dets = [dets[i] for i in order]
-        self.scores = [d.score for d in self.dets]
+        dets = [dets[i] for i in order[: cfg.max_dets]]
+        self.scores = [d.score for d in dets]
         self.crowd = [bool(g.iscrowd) for g in gts]
         restrict = cfg.scale_restriction
-        self.base_ignore = [
+        base_ignore = [
             g.iscrowd
             or (restrict is not None and not restrict.contains(instance_scale(g.bbox)))
             for g in gts
         ]
-        self.gt_buckets = [cfg.bucket_of(g.bbox.area) for g in gts]
-        self.det_buckets = [cfg.bucket_of(d.bbox.area) for d in self.dets]
-        self.ious = iou_matrix(_corners(self.dets), _corners(gts)).tolist()
+        gt_buckets = [cfg.bucket_of(g.bbox.area) for g in gts]
+        self.gt_ignore = {  # per bucket: ignored, or outside a bucket other than "all"
+            bucket: [ig or bucket not in ("all", b) for ig, b in zip(base_ignore, gt_buckets)]
+            for bucket in BUCKET_NAMES
+        }
+        self.det_buckets = [cfg.bucket_of(d.bbox.area) for d in dets]
+        ious = iou_matrix(_corners(dets), _corners(gts))
+        hits = ious >= cfg.iou_thresholds[0]
+        # (detection, its best IoU, [(gt, iou), ...]) for each detection that
+        # some GT matches at the lowest threshold; no other GT can ever match.
+        candidates: dict[int, list[tuple[int, float]]] = {}
+        for i, j, v in zip(*(a.tolist() for a in np.nonzero(hits)), ious[hits].tolist()):
+            candidates.setdefault(i, []).append((j, v))
+        self.candidates = [(i, max(v for _, v in c), c) for i, c in candidates.items()]
 
 
 def _corners(records: list[Detection] | list[Instance]) -> np.ndarray:
@@ -154,68 +149,78 @@ def _corners(records: list[Detection] | list[Instance]) -> np.ndarray:
 
 
 def _match_unit(
-    unit: _ImageUnit, gt_ignore: list[bool], threshold: float, bucket: str
-) -> tuple[list[bool], list[bool]]:
-    """Greedy matching for one unit; returns (is_tp, is_ignored) per detection."""
-    gts, dets, ious = unit.gts, unit.dets, unit.ious
-    is_tp = [False] * len(dets)
-    if not gts:
-        if bucket == "all":
-            return is_tp, [False] * len(dets)
-        return is_tp, [unit.det_buckets[i] != bucket for i in range(len(dets))]
-    order = sorted(range(len(gts)), key=lambda j: (gt_ignore[j], j))
-    matched = [False] * len(gts)
-    is_ig = [False] * len(dets)
-    for i in range(len(dets)):
-        best = -1
-        best_iou = threshold
-        row = ious[i]
-        for j in order:
-            if matched[j] and not unit.crowd[j]:
+    unit: _ImageUnit,
+    gt_ignore: list[bool],
+    thresholds: tuple[float, ...],
+    is_tp: np.ndarray,
+    is_ig: np.ndarray,
+) -> None:
+    """Greedy matching of one unit at every threshold. Row t of the unit's
+    (T, D) slices `is_tp`/`is_ig` is set for each detection matched at
+    threshold t; unmatched detections keep the values they came with."""
+    crowd = unit.crowd
+    ranked = [
+        (i, top, sorted(cands, key=lambda c: (gt_ignore[c[0]], c[0])))
+        for i, top, cands in unit.candidates
+    ]
+    floor = -math.inf  # lowest IoU matched in the last lane walked
+    for lane, threshold in enumerate(thresholds):
+        if threshold <= floor:  # every match of that lane clears this one: same matches
+            is_tp[lane], is_ig[lane] = is_tp[lane - 1], is_ig[lane - 1]
+            continue
+        matched = [False] * len(crowd)
+        floor = math.inf
+        for i, top, cands in ranked:
+            if top < threshold:
                 continue
-            if best != -1 and not gt_ignore[best] and gt_ignore[j]:
-                break
-            v = row[j]
-            if best == -1:
-                if v >= best_iou:
+            best = -1
+            best_iou = threshold
+            for j, v in cands:
+                if matched[j] and not crowd[j]:
+                    continue
+                if best != -1 and not gt_ignore[best] and gt_ignore[j]:
+                    break
+                if best == -1:
+                    if v >= best_iou:
+                        best, best_iou = j, v
+                elif v > best_iou:
                     best, best_iou = j, v
-            elif v > best_iou:
-                best, best_iou = j, v
-        if best != -1:
-            matched[best] = True
-            is_tp[i] = not gt_ignore[best]
-            is_ig[i] = gt_ignore[best]
-        elif bucket != "all" and unit.det_buckets[i] != bucket:
-            is_ig[i] = True
-    return is_tp, is_ig
+            if best != -1:
+                matched[best] = True
+                floor = min(floor, best_iou)
+                is_tp[lane, i] = not gt_ignore[best]
+                is_ig[lane, i] = gt_ignore[best]
+        if floor == math.inf:
+            break  # no match at this threshold, so none at a higher one
 
 
 def _pr_summary(
-    scores: list[float],
-    is_tp: list[bool],
-    is_ig: list[bool],
-    n_positive: int,
-    recall_points: int,
-) -> tuple[float, float]:
-    """101-point interpolated AP and final recall; (-1, -1) with no ground truth."""
-    if n_positive == 0:
-        return -1.0, -1.0
-    keep = [k for k in range(len(scores)) if not is_ig[k]]
-    if not keep:
-        return 0.0, 0.0
-    order = sorted(keep, key=lambda k: (-scores[k], k))
-    tp_flags = np.array([is_tp[k] for k in order], dtype=np.float64)
-    tp_cum = np.cumsum(tp_flags)
-    fp_cum = np.cumsum(1.0 - tp_flags)
-    recall = tp_cum / n_positive
-    precision = tp_cum / (tp_cum + fp_cum)
-    # Precision envelope from the right, then sample at the recall grid.
-    for k in range(len(precision) - 2, -1, -1):
-        precision[k] = max(precision[k], precision[k + 1])
-    grid = np.linspace(0.0, 1.0, recall_points)
-    idx = np.searchsorted(recall, grid, side="left")
-    sampled = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
-    return float(sampled.mean()), float(recall[-1])
+    order: np.ndarray, is_tp: np.ndarray, is_ig: np.ndarray, n_positive: list[int], grid: np.ndarray
+) -> list[list[list[float]]]:
+    """Interpolated AP and final recall of each (bucket, threshold) lane of the
+    (B, T, D) flags, detections ranked by `order`; -1 for a bucket without
+    positives. Ignored detections stay in the ranking: they add to neither
+    count and their precision is 0, so they never set a sample."""
+    lanes = is_tp.shape[0] * is_tp.shape[1]
+    tp, kept = is_tp[..., order].reshape(lanes, -1), ~is_ig[..., order].reshape(lanes, -1)
+    positives = np.repeat(n_positive, is_tp.shape[1])
+    tp_cum = np.cumsum(tp, axis=1, dtype=np.float64)
+    recall = tp_cum / np.maximum(positives, 1)[:, None]
+    precision = np.zeros((lanes, order.size + 1))
+    np.divide(tp_cum, np.cumsum(kept, axis=1, dtype=np.float64), out=precision[:, :-1], where=kept)
+    # Precision envelope from the right; a sample past the last recall reads the 0 pad.
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1].ravel()
+    # Sample r reads the envelope at the count of recalls below grid[r], i.e.
+    # of the recalls that reach (are >=) at most r grid points.
+    rows = np.arange(lanes)[:, None]
+    reached = np.searchsorted(grid, recall, side="right") + rows * (grid.size + 1)
+    below = np.bincount(reached.ravel(), minlength=lanes * (grid.size + 1)).reshape(lanes, -1)
+    sampled = envelope[below.cumsum(axis=1)[:, :-1] + rows * (order.size + 1)]
+    final = np.count_nonzero(tp, axis=1) / np.maximum(positives, 1)
+    return [
+        np.where(positives > 0, v, -1.0).reshape(is_tp.shape[:2]).tolist()
+        for v in (sampled.mean(axis=1), final)
+    ]
 
 
 def _mean_defined(values: list[float]) -> float:
@@ -265,43 +270,40 @@ def evaluate(
     image_ids = sorted({g.image_id for g in gts} | {d.image_id for d in dets})
 
     thresholds = cfg.iou_thresholds
+    grid = np.linspace(0.0, 1.0, cfg.recall_points)
     ap_table: dict[tuple[int, str], list[float]] = {}
     rec_table: dict[tuple[int, str], list[float]] = {}
 
     for cat in vocab:
-        units = []
-        for img in image_ids:
-            g = gt_by.get((img, cat), [])
-            d = det_by.get((img, cat), [])
-            if g or d:
-                units.append(_ImageUnit(g, d, cfg))
-        for bucket in BUCKET_NAMES:
-            bucket_ignores = [
-                [
-                    unit.base_ignore[j]
-                    or (bucket != "all" and unit.gt_buckets[j] != bucket)
-                    for j in range(len(unit.gts))
-                ]
-                for unit in units
-            ]
-            n_positive = sum(
-                sum(1 for flag in flags if not flag) for flags in bucket_ignores
-            )
-            aps, recs = [], []
-            for t in thresholds:
-                scores: list[float] = []
-                tps: list[bool] = []
-                igs: list[bool] = []
-                for unit, gt_ignore in zip(units, bucket_ignores):
-                    is_tp, is_ig = _match_unit(unit, gt_ignore, t, bucket)
-                    scores.extend(unit.scores)
-                    tps.extend(is_tp)
-                    igs.extend(is_ig)
-                ap, rec = _pr_summary(scores, tps, igs, n_positive, cfg.recall_points)
-                aps.append(ap)
-                recs.append(rec)
-            ap_table[(cat, bucket)] = aps
-            rec_table[(cat, bucket)] = recs
+        units = [
+            _ImageUnit(gt_by.get((img, cat), []), det_by.get((img, cat), []), cfg)
+            for img in image_ids
+            if (img, cat) in gt_by or (img, cat) in det_by
+        ]
+        scores = np.array([s for unit in units for s in unit.scores])
+        det_buckets = np.array([b for unit in units for b in unit.det_buckets], dtype=str)
+        # One lane per (bucket, threshold); detections are in unit order.
+        is_tp = np.zeros((len(BUCKET_NAMES), len(thresholds), scores.size), dtype=bool)
+        is_ig = np.zeros_like(is_tp)
+        n_positive = [
+            sum(unit.gt_ignore[bucket].count(False) for unit in units) for bucket in BUCKET_NAMES
+        ]
+        for b, bucket in enumerate(BUCKET_NAMES):
+            if not n_positive[b]:
+                continue
+            if bucket != "all":  # unmatched detections outside the bucket are ignored
+                is_ig[b] = det_buckets != bucket
+            start = 0
+            for unit in units:
+                stop = start + len(unit.scores)
+                if unit.candidates:
+                    span = (b, slice(None), slice(start, stop))
+                    _match_unit(unit, unit.gt_ignore[bucket], thresholds, is_tp[span], is_ig[span])
+                start = stop
+        order = np.argsort(-scores, kind="stable")
+        aps, recs = _pr_summary(order, is_tp, is_ig, n_positive, grid)
+        for bucket, ap, rec in zip(BUCKET_NAMES, aps, recs):
+            ap_table[(cat, bucket)], rec_table[(cat, bucket)] = ap, rec
 
     def bucket_mean(bucket: str) -> float:
         return _mean_defined([v for cat in vocab for v in ap_table[(cat, bucket)]])

@@ -85,6 +85,8 @@ def _decode(value, hint, path: str):
     try:
         return build(value)
     except (TypeError, ValueError) as exc:
+        if not path:  # the top level names its own keys
+            raise
         raise ValueError(f"config key {path!r}: {exc}") from exc
 
 
@@ -101,6 +103,13 @@ class AppConfig:
     detector: DetectorProfile = DetectorProfile()
     fpn: FpnAssignConfig = FpnAssignConfig()
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        k = self.fusion_top_k
+        if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
+            raise ValueError(
+                f"config key 'fusion_top_k': expected null or an integer >= 1, got {k!r}"
+            )
 
     def to_dict(self) -> dict:
         return _encode(self)

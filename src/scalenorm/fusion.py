@@ -149,5 +149,7 @@ def fuse_multiscale(
     result does not depend on the order resolutions are supplied in. When
     `top_k` is set, only the top-scoring detections survive.
     """
+    if top_k is not None and (not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1):
+        raise ValueError(f"top_k must be None or an integer >= 1, got {top_k!r}")
     table = _gated_table(per_resolution, scale_range)
     return _detections(_suppress(table, cfg or SoftNmsConfig())[:top_k])

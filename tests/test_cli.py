@@ -245,6 +245,32 @@ class TestErrorSurface:
         assert repr(key) in err
         assert not (tmp_path / "fused.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--set", "fusion_top_k=-1"],
+            ["--set", "fusion_top_k=0"],
+            ["--top-k", "0"],
+            ["--top-k", "-1"],
+        ],
+    )
+    def test_non_positive_top_k_rejected(self, tmp_path, capsys, flags):
+        dets = tmp_path / "dets.json"
+        write_json(dets, [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
+        out = tmp_path / "fused.json"
+        code = run_cli("fuse", "--dets", dets, *flags, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'fusion_top_k': ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_top_k_one_keeps_one_detection(self, tmp_path):
+        dets = tmp_path / "dets.json"
+        write_json(dets, [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
+        out = tmp_path / "fused.json"
+        assert run_cli("fuse", "--dets", dets, "--top-k", "1", "--out", out) == 0
+        assert len(json.loads(out.read_text())["detections"]) == 1
+
     @pytest.mark.parametrize("bbox", [[math.nan, 0, 5, 10], [0, 0, math.inf, 10]])
     def test_non_finite_bbox_names_record(self, tmp_path, annotations, capsys, bbox):
         dets = tmp_path / "dets.json"

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -87,11 +88,23 @@ class TestDefaults:
             ({"soft_nms": {"method": None}}, "config key 'soft_nms.method': expected a string"),
             ({"scale_range": [560, 16]}, "config key 'scale_range': invalid scale range"),
             ({"search": {"initial": [8, 640]}}, "config key 'search': initial bounds"),
+            ({"fusion_top_k": 0}, "config key 'fusion_top_k': expected null or an integer >= 1"),
+            ({"fusion_top_k": -1}, "config key 'fusion_top_k': expected null or an integer >= 1"),
         ],
     )
     def test_strict_decoding_names_key(self, data, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             AppConfig.from_dict(data)
+
+    @pytest.mark.parametrize("top_k", [0, -1, 2.5, True])
+    def test_top_k_checked_on_construction(self, top_k):
+        with pytest.raises(ValueError, match="^config key 'fusion_top_k': "):
+            replace(AppConfig(), fusion_top_k=top_k)
+
+    @pytest.mark.parametrize("top_k", [None, 1, 100])
+    def test_top_k_accepts_null_and_positive(self, top_k):
+        cfg = AppConfig.from_dict({"fusion_top_k": top_k})
+        assert cfg.fusion_top_k == top_k
 
     def test_integer_for_float_field_stored_as_float(self):
         cfg = AppConfig.from_dict({"soft_nms": {"sigma": 1}, "scale_range": [8, None]})

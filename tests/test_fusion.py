@@ -194,6 +194,12 @@ class TestFuseMultiscale:
         fused = fuse_multiscale([(1.0, dets)], UNBOUNDED_RANGE, top_k=5)
         assert len(fused) == 5
 
+    @pytest.mark.parametrize("top_k", [0, -1, 2.5])
+    def test_top_k_must_be_positive_integer(self, top_k):
+        dets = [make_detection(BBox(0, 0, 10, 10), 0.9, resolution_index=0)]
+        with pytest.raises(ValueError, match="top_k"):
+            fuse_multiscale([(1.0, dets)], UNBOUNDED_RANGE, top_k=top_k)
+
     def test_unbounded_gate_is_noop_gating(self, rng):
         dets = [
             make_detection(random_box(rng), float(rng.uniform(0.05, 1.0)), resolution_index=0)

@@ -1,6 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalenorm import (
     BBox,
@@ -11,6 +14,7 @@ from scalenorm import (
     ScaleRange,
     ap_by_scale_report,
     evaluate,
+    iou,
 )
 
 from conftest import make_instance
@@ -284,3 +288,188 @@ class TestEvalConfigValidation:
         assert cfg.bucket_of(1024.0) == "medium"
         assert cfg.bucket_of(9216.0) == "medium"
         assert cfg.bucket_of(9216.1) == "large"
+
+
+def box_det(x, y, w, h, score, image_id=1, category_id=1):
+    return Detection(BBox(x, y, w, h), category_id, score, image_id)
+
+
+def box_gt(x, y, w, h, inst_id, image_id=1, iscrowd=False, category_id=1):
+    return Instance(BBox(x, y, w, h), category_id, iscrowd, inst_id, image_id)
+
+
+class TestLaneEdgeCases:
+    """Cases where the per-threshold lanes of one (category, bucket) differ,
+    or where ignored detections sit in the ranking; each checked against the
+    reference."""
+
+    def test_every_detection_absorbed(self):
+        crowd = box_gt(0, 0, 100, 100, 1, iscrowd=True)
+        large = box_gt(300, 300, 120, 120, 2)  # large bucket: ignored in "small"
+        small = box_gt(600, 600, 20, 20, 3)  # the only small positive, missed
+        dets = [
+            box_det(0, 0, 100, 100, 0.9),
+            box_det(2, 2, 100, 100, 0.8),
+            box_det(300, 300, 120, 120, 0.7),
+        ]
+        cfg = EvalConfig()
+        result = evaluate([crowd, large, small], dets, cfg)
+        assert result.ap_s == 0.0
+        assert_matches_reference([crowd, large, small], dets, cfg)
+        only_crowd = evaluate([crowd, small], dets[:2], cfg)
+        assert only_crowd.ap == 0.0 and only_crowd.ar == 0.0
+        assert_matches_reference([crowd, small], dets[:2], cfg)
+
+    def test_ignored_detections_ranked_first(self):
+        crowd = box_gt(0, 0, 100, 100, 1, iscrowd=True)
+        real = box_gt(400, 400, 50, 50, 2)
+        dets = [
+            box_det(0, 0, 100, 100, 0.99),
+            box_det(1, 1, 100, 100, 0.95),
+            box_det(400, 400, 50, 50, 0.5),
+        ]
+        result = evaluate([crowd, real], dets)
+        assert result.ap == 1.0 and result.ar == 1.0  # the recall-0 sample reads 1
+        assert_matches_reference([crowd, real], dets, EvalConfig())
+
+    def test_unit_without_candidates_beside_matched_units(self):
+        gts = [box_gt(0, 0, 80, 80, 1, image_id=1), box_gt(0, 0, 80, 80, 2, image_id=2),
+               box_gt(0, 0, 80, 80, 3, image_id=3)]
+        dets = [
+            box_det(0, 0, 80, 80, 0.9, image_id=1),
+            box_det(300, 300, 80, 80, 0.8, image_id=2),  # no IoU >= 0.5 in its unit
+            box_det(50, 50, 80, 80, 0.7, image_id=2),
+            box_det(4, 4, 80, 80, 0.6, image_id=3),
+        ]
+        result = evaluate(gts, dets)
+        assert 0.0 < result.ap < 1.0
+        assert_matches_reference(gts, dets, EvalConfig())
+
+    def test_lanes_disagree_between_thresholds(self):
+        gt = box_gt(0, 0, 100, 100, 1)
+        loose = box_det(0, 0, 100, 72, 0.9)  # IoU 0.72
+        tight = box_det(0, 0, 100, 90, 0.8)  # IoU 0.90
+        result = evaluate([gt], [loose, tight])
+        # 0.50-0.70: loose is the TP (AP 1); 0.75-0.90: tight is (AP 0.5); 0.95: none.
+        assert result.ap50 == 1.0 and result.ap75 == 0.5
+        assert result.ap == pytest.approx((5 * 1.0 + 4 * 0.5) / 10, abs=1e-12)
+        assert_matches_reference([gt], [loose, tight], EvalConfig())
+
+    @pytest.mark.parametrize("height, lanes_matched", [(50.0, 1), (75.0, 6)])
+    def test_iou_equal_to_a_threshold_matches(self, height, lanes_matched):
+        gt = box_gt(0, 0, 100, 100, 1)
+        det = box_det(0, 0, 100, height, 0.9)  # IoU exactly height / 100
+        result = evaluate([gt], [det])
+        assert result.ap == pytest.approx(lanes_matched / 10, abs=1e-12)
+        assert result.ar == pytest.approx(lanes_matched / 10, abs=1e-12)
+        assert_matches_reference([gt], [det], EvalConfig())
+
+    def test_max_dets_one(self):
+        gts = [box_gt(0, 0, 60, 60, 1), box_gt(200, 200, 60, 60, 2, image_id=2)]
+        dets = [
+            box_det(400, 400, 60, 60, 0.9),  # the only one kept in image 1: a FP
+            box_det(0, 0, 60, 60, 0.5),
+            box_det(200, 200, 60, 60, 0.8, image_id=2),
+            box_det(201, 201, 60, 60, 0.7, image_id=2),
+        ]
+        cfg = EvalConfig(max_dets=1)
+        result = evaluate(gts, dets, cfg)
+        assert result.ar == 0.5
+        assert_matches_reference(gts, dets, cfg)
+
+    def test_bucket_without_positives_is_sentinel(self):
+        gt = box_gt(0, 0, 50, 50, 1)  # medium
+        dets = [box_det(0, 0, 50, 50, 0.9), box_det(300, 300, 10, 10, 0.8),
+                box_det(500, 500, 200, 200, 0.7)]
+        result = evaluate([gt], dets)
+        assert result.ap_s == -1.0 and result.ap_l == -1.0
+        assert result.ap_m == 1.0
+        assert_matches_reference([gt], dets, EvalConfig())
+
+
+class TestPycocotoolsDifferences:
+    """Deliberate differences from pycocotools `COCOeval.evaluateImg`."""
+
+    def test_buckets_use_bbox_area(self):
+        # pycocotools buckets by the annotation's (segment) area; here only the
+        # box exists, so a 33 x 33 box is medium whatever its mask would be.
+        gt = box_gt(0, 0, 33, 33, 1)
+        result = evaluate([gt], [box_det(0, 0, 33, 33, 0.9)])
+        assert result.ap_m == 1.0 and result.ap_s == -1.0
+        # Bucket edges: small is area < 32^2 and medium is area <= 96^2, so
+        # a box of exactly 32^2 is medium only (pycocotools counts it in both).
+        edge = box_gt(0, 0, 32, 32, 1)
+        result = evaluate([edge], [box_det(0, 0, 32, 32, 0.9)])
+        assert result.ap_m == 1.0 and result.ap_s == -1.0
+
+    @pytest.mark.parametrize("first_is_left, ap50", [(True, 51 / 101), (False, 1.0)])
+    def test_exact_iou_tie_goes_to_the_earliest_gt(self, first_is_left, ap50):
+        left = box_gt(30, 0, 100, 100, 1)
+        right = box_gt(50, 0, 100, 100, 2)
+        gts = [left, right] if first_is_left else [right, left]
+        dets = [
+            box_det(40, 0, 100, 100, 0.9),  # IoU 9/11 with both: an exact tie
+            box_det(0, 0, 100, 100, 0.8),  # IoU 7/13 with left, 1/3 with right
+        ]
+        # Left first: the tie takes left and the second detection is a FP.
+        # pycocotools gives the tie to the later GT and scores 1.0 both ways.
+        cfg = EvalConfig(iou_thresholds=(0.5,))
+        result = evaluate(gts, dets, cfg)
+        assert result.ap50 == pytest.approx(ap50, abs=1e-12)
+        assert_matches_reference(gts, dets, cfg)
+
+    def test_threshold_one_is_not_clamped(self):
+        # pycocotools matches at min(t, 1 - 1e-10); here t = 1.0 needs IoU 1.0.
+        gt = box_gt(0, 0, 100, 100, 1)
+        cfg = EvalConfig(iou_thresholds=(1.0,))
+        near = box_det(0, 0, 100, 100 - 1e-9, 0.9)
+        assert 1 - 1e-10 < iou(near.bbox, gt.bbox) < 1.0
+        assert evaluate([gt], [near], cfg).ap == 0.0
+        assert evaluate([gt], [box_det(0, 0, 100, 100, 0.9)], cfg).ap == 1.0
+        assert_matches_reference([gt], [near], cfg)
+
+
+def _boxes(draw, count, span=60.0):
+    # Coarse coordinates on a small canvas: overlaps, exact IoU ties and
+    # duplicate boxes are common.
+    coord = st.integers(0, int(span)).map(float)
+    size = st.integers(2, int(span)).map(float)
+    return [BBox(draw(coord), draw(coord), draw(size), draw(size)) for _ in range(count)]
+
+
+@st.composite
+def eval_cases(draw, distinct_scores=False):
+    n_images = draw(st.integers(1, 3))
+    gts, dets = [], []
+    for img in range(1, n_images + 1):
+        for box in _boxes(draw, draw(st.integers(0, 4))):
+            gts.append(Instance(box, draw(st.integers(1, 2)), draw(st.booleans()) and
+                                draw(st.booleans()), len(gts) + 1, img))
+        for box in _boxes(draw, draw(st.integers(0, 5))):
+            dets.append(Detection(box, draw(st.integers(1, 2)), 0.0, img))
+    if distinct_scores:
+        ranks = draw(st.permutations(range(len(dets))))
+        scores = [(r + 1) / (len(dets) + 1) for r in ranks]
+    else:
+        scores = [draw(st.sampled_from((0.2, 0.5, 0.9))) for _ in dets]
+    dets = [replace(d, score=s) for d, s in zip(dets, scores)]
+    restriction = draw(st.sampled_from((None, ScaleRange(8.0, 40.0), ScaleRange(0.0, 25.0))))
+    cfg = EvalConfig(max_dets=draw(st.sampled_from((1, 2, 100))), scale_restriction=restriction,
+                     small_area=draw(st.sampled_from((32.0**2, 20.0**2))),
+                     large_area=draw(st.sampled_from((96.0**2, 40.0**2))))
+    return gts, dets, cfg
+
+
+class TestEvaluateProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(eval_cases())
+    def test_agrees_with_reference(self, case):
+        assert_matches_reference(*case)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(eval_cases(distinct_scores=True), st.randoms(use_true_random=False))
+    def test_detection_order_irrelevant_with_distinct_scores(self, case, random):
+        gts, dets, cfg = case
+        shuffled = list(dets)
+        random.shuffle(shuffled)
+        assert evaluate(gts, shuffled, cfg) == evaluate(gts, dets, cfg)

@@ -231,6 +231,8 @@ class TestErrorSurface:
             ("soft_nms.sigma=NaN", "soft_nms.sigma"),
             ("soft_nms.method=3", "soft_nms.method"),
             ("soft_nms.sigma=-1", "soft_nms"),
+            ("fusion_top_k=-1", "fusion_top_k"),
+            ("fusion_top_k=0", "fusion_top_k"),
         ],
     )
     def test_unknown_config_key_names_key(self, tmp_path, capsys, override, key):
@@ -245,20 +247,12 @@ class TestErrorSurface:
         assert repr(key) in err
         assert not (tmp_path / "fused.json").exists()
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--set", "fusion_top_k=-1"],
-            ["--set", "fusion_top_k=0"],
-            ["--top-k", "0"],
-            ["--top-k", "-1"],
-        ],
-    )
-    def test_non_positive_top_k_rejected(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_non_positive_top_k_flag_rejected(self, tmp_path, capsys, top_k):
         dets = tmp_path / "dets.json"
         write_json(dets, [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
         out = tmp_path / "fused.json"
-        code = run_cli("fuse", "--dets", dets, *flags, "--out", out)
+        code = run_cli("fuse", "--dets", dets, "--top-k", top_k, "--out", out)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config key 'fusion_top_k': ") and err.count("\n") == 1

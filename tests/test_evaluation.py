@@ -333,8 +333,7 @@ class TestLaneEdgeCases:
         assert_matches_reference([crowd, real], dets, EvalConfig())
 
     def test_unit_without_candidates_beside_matched_units(self):
-        gts = [box_gt(0, 0, 80, 80, 1, image_id=1), box_gt(0, 0, 80, 80, 2, image_id=2),
-               box_gt(0, 0, 80, 80, 3, image_id=3)]
+        gts = [box_gt(0, 0, 80, 80, i, image_id=i) for i in (1, 2, 3)]
         dets = [
             box_det(0, 0, 80, 80, 0.9, image_id=1),
             box_det(300, 300, 80, 80, 0.8, image_id=2),  # no IoU >= 0.5 in its unit
@@ -443,8 +442,8 @@ def eval_cases(draw, distinct_scores=False):
     gts, dets = [], []
     for img in range(1, n_images + 1):
         for box in _boxes(draw, draw(st.integers(0, 4))):
-            gts.append(Instance(box, draw(st.integers(1, 2)), draw(st.booleans()) and
-                                draw(st.booleans()), len(gts) + 1, img))
+            crowd = draw(st.booleans()) and draw(st.booleans())  # about one in four
+            gts.append(Instance(box, draw(st.integers(1, 2)), crowd, len(gts) + 1, img))
         for box in _boxes(draw, draw(st.integers(0, 5))):
             dets.append(Detection(box, draw(st.integers(1, 2)), 0.0, img))
     if distinct_scores:
@@ -454,9 +453,12 @@ def eval_cases(draw, distinct_scores=False):
         scores = [draw(st.sampled_from((0.2, 0.5, 0.9))) for _ in dets]
     dets = [replace(d, score=s) for d, s in zip(dets, scores)]
     restriction = draw(st.sampled_from((None, ScaleRange(8.0, 40.0), ScaleRange(0.0, 25.0))))
-    cfg = EvalConfig(max_dets=draw(st.sampled_from((1, 2, 100))), scale_restriction=restriction,
-                     small_area=draw(st.sampled_from((32.0**2, 20.0**2))),
-                     large_area=draw(st.sampled_from((96.0**2, 40.0**2))))
+    cfg = EvalConfig(
+        max_dets=draw(st.sampled_from((1, 2, 100))),
+        scale_restriction=restriction,
+        small_area=draw(st.sampled_from((32.0**2, 20.0**2))),
+        large_area=draw(st.sampled_from((96.0**2, 40.0**2))),
+    )
     return gts, dets, cfg
 
 

@@ -3,7 +3,9 @@
 The sha256 of every file written by the pipeline below (seed 17, 40 images)
 is pinned in `golden_digests.json`, together with the unrestricted `eval`
 (JSON and CSV), a restricted `eval` on a dataset with 20% crowd regions, and
-the `search --simulate` result on 8 images. A refactor that claims to preserve
+the `search --simulate` result on 8 images, both `partition` policies (the
+SNIP one on its default table), `analyze-snip` (JSON and CSV), the
+`stage-hist` JSON and `search --table` on the README's lookup table. A refactor that claims to preserve
 behaviour must leave every digest unchanged; a change that alters an output
 on purpose regenerates the file and says which artifact changed and why.
 
@@ -17,6 +19,8 @@ import json
 from pathlib import Path
 
 from scalenorm.cli import main as cli_main
+
+from conftest import RANGE_AP_TABLE
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
@@ -36,17 +40,26 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         "metrics_unrestricted.csv": workdir / "metrics_unrestricted.csv",
         "crowd_metrics.json": workdir / "crowd_metrics.json",
         "search.json": workdir / "search.json",
+        "partition_isn.json": workdir / "partition_isn.json",
+        "partition_snip.json": workdir / "partition_snip.json",
+        "analyze_snip.json": workdir / "analyze_snip.json",
+        "analyze_snip.csv": workdir / "analyze_snip.csv",
+        "hist.json": workdir / "hist.json",
+        "search_table.json": workdir / "search_table.json",
     }
     crowd_ann = workdir / "crowd_annotations.json"
     crowd_dets = workdir / "crowd_detections.json"
     crowd_fused = workdir / "crowd_fused.json"
+    table = workdir / "table.json"
+    table.write_text(json.dumps([{"range": list(k), "ap": v} for k, v in RANGE_AP_TABLE.items()]))
     commands = [
         ["simulate", "--images", "40", "--seed", "17", "--out", ann, "--out-dets", dets],
         ["fuse", "--dets", dets, "--out", paths["fused.json"]],
         ["fuse", "--dets", dets, "--naive", "--out", paths["fused_naive.json"]],
         ["eval", "--annotations", ann, "--dets", paths["fused.json"],
          "--scale-range", "16,560", "--out", paths["metrics.json"]],
-        ["stage-hist", "--annotations", ann, "--out", paths["hist.csv"]],
+        ["stage-hist", "--annotations", ann, "--out", paths["hist.csv"],
+         "--json", paths["hist.json"]],
         ["eval", "--annotations", ann, "--dets", paths["fused.json"],
          "--out", paths["metrics_unrestricted.json"], "--csv", paths["metrics_unrestricted.csv"]],
         ["simulate", "--images", "40", "--seed", "17", "--crowd-fraction", "0.2",
@@ -55,6 +68,12 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         ["eval", "--annotations", crowd_ann, "--dets", crowd_fused,
          "--scale-range", "16,560", "--out", paths["crowd_metrics.json"]],
         ["search", "--simulate", "--images", "8", "--seed", "17", "--out", paths["search.json"]],
+        ["partition", "--annotations", ann, "--policy", "isn", "--out", paths["partition_isn.json"]],
+        ["partition", "--annotations", ann, "--policy", "snip",
+         "--out", paths["partition_snip.json"]],
+        ["analyze-snip", "--annotations", ann, "--out", paths["analyze_snip.json"],
+         "--csv", paths["analyze_snip.csv"]],
+        ["search", "--table", table, "--out", paths["search_table.json"]],
     ]
     for argv in commands:
         assert cli_main([str(a) for a in argv]) == 0, argv

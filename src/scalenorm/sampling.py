@@ -47,6 +47,10 @@ class SnipEntry:
     factor: float | None = None
 
     def __post_init__(self) -> None:
+        if not (self.height >= 1 and self.width >= 1):
+            raise ValueError(f"resolution must be at least 1x1, got {self.height}x{self.width}")
+        if self.factor is not None and not 0 < self.factor < math.inf:
+            raise ValueError(f"scale_factor must be finite and positive, got {self.factor!r}")
         if not self.lower < self.upper:
             raise ValueError(f"invalid valid-range ({self.lower!r}, {self.upper!r})")
 

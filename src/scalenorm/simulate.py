@@ -179,6 +179,12 @@ def generate_dataset(
     """Random benchmark dataset: log-uniform instance scales, seeded."""
     if num_images < 1:
         raise ValueError("num_images must be positive")
+    if num_categories < 1:
+        raise ValueError(f"num_categories must be at least 1, got {num_categories}")
+    if min_instances > max_instances:
+        raise ValueError(f"min_instances {min_instances} exceeds max_instances {max_instances}")
+    if not 0.0 <= crowd_fraction <= 1.0:
+        raise ValueError(f"crowd_fraction must lie in [0, 1], got {crowd_fraction!r}")
     rng = np.random.default_rng([seed, 0xDA7A])
     images = []
     instances = []

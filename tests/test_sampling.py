@@ -86,6 +86,12 @@ class TestSnipPartition:
     def test_entry_validation(self):
         with pytest.raises(ValueError):
             SnipEntry(800, 1200, 160.0, 40.0)
+        for height, width in ((0, 1200), (800, 0)):
+            with pytest.raises(ValueError, match="resolution"):
+                SnipEntry(height, width, 40.0, 160.0)
+        for factor in (math.nan, math.inf, 0.0, -2.0):
+            with pytest.raises(ValueError, match="scale_factor"):
+                SnipEntry(800, 1200, 40.0, 160.0, factor)
 
 
 class TestDistributions:

@@ -149,6 +149,20 @@ class TestGenerateDataset:
         ids = [inst.id for inst in ds.instances]
         assert len(ids) == len(set(ids))
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"crowd_fraction": math.nan}, "crowd_fraction"),
+            ({"crowd_fraction": 1.5}, "crowd_fraction"),
+            ({"crowd_fraction": -0.1}, "crowd_fraction"),
+            ({"num_categories": 0}, "num_categories"),
+            ({"min_instances": 5, "max_instances": 4}, "min_instances"),
+        ],
+    )
+    def test_rejects_bad_parameter_naming_it(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            generate_dataset(3, 1, **kwargs)
+
 
 class TestRunExperiment:
     def test_noiseless_profile_reaches_perfect_ap(self):

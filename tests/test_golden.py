@@ -5,9 +5,10 @@ is pinned in `golden_digests.json`, together with the unrestricted `eval`
 (JSON and CSV), a restricted `eval` on a dataset with 20% crowd regions, and
 the `search --simulate` result on 8 images, both `partition` policies (the
 SNIP one on its default table), `analyze-snip` (JSON and CSV), the
-`stage-hist` JSON and `search --table` on the README's lookup table. A refactor that claims to preserve
-behaviour must leave every digest unchanged; a change that alters an output
-on purpose regenerates the file and says which artifact changed and why.
+`stage-hist` JSON and `search --table` on the README's lookup table. A
+refactor that claims to preserve behaviour must leave every digest unchanged;
+a change that alters an output on purpose regenerates the file and says which
+artifact changed and why.
 
 Regenerate with: PYTHONPATH=src python tests/test_golden.py
 """
@@ -68,7 +69,8 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         ["eval", "--annotations", crowd_ann, "--dets", crowd_fused,
          "--scale-range", "16,560", "--out", paths["crowd_metrics.json"]],
         ["search", "--simulate", "--images", "8", "--seed", "17", "--out", paths["search.json"]],
-        ["partition", "--annotations", ann, "--policy", "isn", "--out", paths["partition_isn.json"]],
+        ["partition", "--annotations", ann, "--policy", "isn",
+         "--out", paths["partition_isn.json"]],
         ["partition", "--annotations", ann, "--policy", "snip",
          "--out", paths["partition_snip.json"]],
         ["analyze-snip", "--annotations", ann, "--out", paths["analyze_snip.json"],

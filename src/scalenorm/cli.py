@@ -39,6 +39,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+# Options several subcommands take, declared once: flag -> add_argument keywords.
+_SHARED = {
+    "--annotations": {"required": True, "help": "COCO annotation JSON"},
+    "--snip-table": {"help": "per-resolution range table JSON"},
+    "--factors": {"help": "comma-separated pyramid factors"},
+    "--range": {"dest": "scale_range", "help": "scale range 'lower,upper'"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scalenorm",
@@ -49,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_help: str) -> None:
+    def command(name: str, handler, help: str, *shared: str, out_help="output JSON path"):
+        """A subcommand with the config options, `--out` and the named `_SHARED` options."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the configured seed")
         p.add_argument(
@@ -61,64 +72,46 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override any config field, e.g. --set soft_nms.sigma=0.7",
         )
         p.add_argument("--out", required=True, help=out_help)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("partition", help="split instances into valid/ignored per resolution")
-    common(p, "output JSON path")
-    p.add_argument("--annotations", required=True, help="COCO annotation JSON")
+    p = command("partition", _cmd_partition, "split instances into valid/ignored per resolution",
+                "--annotations", "--snip-table", "--factors", "--range")
     p.add_argument("--policy", choices=("isn", "snip"), default="isn")
-    p.add_argument("--snip-table", help="per-resolution range table JSON")
-    p.add_argument("--factors", help="comma-separated pyramid factors")
-    p.add_argument("--range", dest="scale_range", help="scale range 'lower,upper'")
-    p.set_defaults(handler=_cmd_partition)
 
-    p = sub.add_parser("analyze-snip", help="trained/ignored scale distributions and overlap")
-    common(p, "output JSON path")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--snip-table", help="per-resolution range table JSON")
-    p.add_argument("--factors", help="comma-separated pyramid factors")
-    p.add_argument("--range", dest="scale_range", help="scale range 'lower,upper'")
+    p = command("analyze-snip", _cmd_analyze_snip,
+                "trained/ignored scale distributions and overlap",
+                "--annotations", "--snip-table", "--factors", "--range")
     p.add_argument("--csv", help="also write histogram rows as CSV")
-    p.set_defaults(handler=_cmd_analyze_snip)
 
-    p = sub.add_parser("fuse", help="gate, project, and merge per-resolution detections")
-    common(p, "output JSON path")
+    p = command("fuse", _cmd_fuse, "gate, project, and merge per-resolution detections", "--range")
     p.add_argument("--dets", required=True, nargs="+", help="tagged detection dumps")
-    p.add_argument("--range", dest="scale_range", help="scale range 'lower,upper'")
     p.add_argument("--naive", action="store_true", help="disable range gating")
     p.add_argument("--top-k", type=int, help="cap fused detections per image")
-    p.set_defaults(handler=_cmd_fuse)
 
-    p = sub.add_parser("eval", help="COCO-style metrics for detections vs annotations")
-    common(p, "output JSON path")
-    p.add_argument("--annotations", required=True)
+    p = command("eval", _cmd_eval, "COCO-style metrics for detections vs annotations",
+                "--annotations")
     p.add_argument("--dets", required=True)
     p.add_argument("--scale-range", help="also evaluate restricted to 'lower,upper'")
     p.add_argument("--csv", help="also write metrics as CSV")
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("search", help="greedy coordinate descent over range candidates")
-    common(p, "output JSON path")
+    p = command("search", _cmd_search, "greedy coordinate descent over range candidates")
     p.add_argument("--table", help="range -> metrics lookup JSON")
     p.add_argument("--simulate", action="store_true", help="evaluate ranges end-to-end")
     p.add_argument("--images", type=int, default=50, help="synthetic images for --simulate")
-    p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("simulate", help="generate a synthetic dataset and detection dumps")
-    common(p, "output annotations JSON path")
+    p = command("simulate", _cmd_simulate, "generate a synthetic dataset and detection dumps",
+                "--factors", out_help="output annotations JSON path")
     p.add_argument("--out-dets", required=True, help="output tagged detections path")
     p.add_argument("--images", type=int, default=100)
     p.add_argument("--categories", type=int, default=3)
     p.add_argument("--crowd-fraction", type=float, default=0.0)
-    p.add_argument("--factors", help="comma-separated pyramid factors")
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("stage-hist", help="per-stage valid training-sample counts")
-    common(p, "output CSV path")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--factors", help="comma-separated pyramid factors")
-    p.add_argument("--range", dest="scale_range", help="scale range 'lower,upper'")
+    p = command("stage-hist", _cmd_stage_hist, "per-stage valid training-sample counts",
+                "--annotations", "--factors", "--range", out_help="output CSV path")
     p.add_argument("--json", dest="json_out", help="also write histogram as JSON")
-    p.set_defaults(handler=_cmd_stage_hist)
     return parser
 
 
@@ -150,34 +143,29 @@ def _snip_table(args: argparse.Namespace):
 
 def _cmd_partition(args: argparse.Namespace, cfg: AppConfig) -> int:
     dataset = dataio.load_annotations(args.annotations)
-    partitions = []
+    # (what names the resolution, its partition) per resolution index
     if args.policy == "isn":
-        for index, factor in enumerate(cfg.pyramid):
-            part = isn_partition(dataset.instances, factor, cfg.scale_range, index)
-            partitions.append(
-                {
-                    "resolution_index": index,
-                    "scale_factor": factor,
-                    "valid_count": len(part.valid),
-                    "ignored_count": len(part.ignored),
-                    "valid_ids": sorted(i.id for i in part.valid),
-                    "ignored_ids": sorted(i.id for i in part.ignored),
-                }
-            )
+        parts = [
+            ({"scale_factor": f}, isn_partition(dataset.instances, f, cfg.scale_range, i))
+            for i, f in enumerate(cfg.pyramid)
+        ]
     else:
         table = _snip_table(args)
-        for index, entry in enumerate(table.entries):
-            part = snip_partition(dataset.instances, index, table)
-            partitions.append(
-                {
-                    "resolution_index": index,
-                    "resolution": [entry.height, entry.width],
-                    "valid_count": len(part.valid),
-                    "ignored_count": len(part.ignored),
-                    "valid_ids": sorted(i.id for i in part.valid),
-                    "ignored_ids": sorted(i.id for i in part.ignored),
-                }
-            )
+        parts = [
+            ({"resolution": [e.height, e.width]}, snip_partition(dataset.instances, i, table))
+            for i, e in enumerate(table.entries)
+        ]
+    partitions = [
+        {
+            "resolution_index": index,
+            **name,
+            "valid_count": len(part.valid),
+            "ignored_count": len(part.ignored),
+            "valid_ids": sorted(i.id for i in part.valid),
+            "ignored_ids": sorted(i.id for i in part.ignored),
+        }
+        for index, (name, part) in enumerate(parts)
+    ]
     dataio.write_json(
         args.out,
         {"config": cfg.to_dict(), "policy": args.policy, "partitions": partitions},
@@ -257,10 +245,10 @@ def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> int:
     dataset = dataio.load_annotations(args.annotations)
     dets = dataio.load_detections(args.dets)
     known_images = {img.id for img in dataset.images}
-    for det in dets:
+    for i, det in enumerate(dets):
         if det.image_id not in known_images:
             raise dataio.DataFormatError(
-                f"detection references missing image {det.image_id}"
+                f"detection #{i}: references missing image {det.image_id}"
             )
     categories = dataset.category_ids()
     if args.scale_range:
@@ -363,6 +351,3 @@ def _cmd_stage_hist(args: argparse.Namespace, cfg: AppConfig) -> int:
         )
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,8 +7,8 @@ JSON output for provenance.
 
 The JSON form is derived from the dataclass fields and their annotations.
 Reading it is strict at every depth: unknown keys are rejected, sections must
-be objects, an `int` takes a JSON integer (never a bool), a `float` a finite
-number and a `str` a string, and every error names the dotted key.
+be objects, scalars obey the data files' rule (`dataio.KINDS`), and every
+error names the dotted key.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 
+from .dataio import KINDS
 from .evaluation import EvalConfig
 from .fusion import SoftNmsConfig
 from .geometry import PyramidSpec, ScaleRange
@@ -33,7 +34,6 @@ _LISTED = {
     ScaleRange: (tuple[float | None, ...], ScaleRange.from_pair),
     PyramidSpec: (tuple[float, ...], PyramidSpec),
 }
-_SCALARS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 @functools.cache
@@ -57,11 +57,11 @@ def _encode(value):
 
 def _decode(value, hint, path: str):
     """`value` checked against the annotation `hint`; errors name `path`."""
-    if hint in _SCALARS:
-        if (not isinstance(value, (int, float) if hint is float else hint)
-                or isinstance(value, bool) or (hint is float and not math.isfinite(value))):
-            raise ValueError(f"config key {path!r}: expected {_SCALARS[hint]}, got {value!r}")
-        return float(value) if hint is float else value
+    if hint in KINDS:
+        expected, test = KINDS[hint]
+        if not test(value):
+            raise ValueError(f"config key {path!r}: expected {expected}, got {value!r}")
+        return hint(value)
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
         return None if value is None else _decode(value, args[0], path)
@@ -106,7 +106,7 @@ class AppConfig:
 
     def __post_init__(self) -> None:
         k = self.fusion_top_k
-        if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
+        if k is not None and not (KINDS[int][1](k) and k >= 1):
             raise ValueError(
                 f"config key 'fusion_top_k': expected null or an integer >= 1, got {k!r}"
             )

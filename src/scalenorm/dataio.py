@@ -5,7 +5,9 @@ Annotations use the standard COCO layout (`images`, `annotations`,
 ({image_id, category_id, bbox, score}) optionally tagged with the
 `scale_factor` that produced them; dumps may be a bare JSON list or wrapped
 in an object under a "detections" key. Unknown keys are ignored on read, so
-every emitted artifact re-ingests losslessly.
+every emitted artifact re-ingests losslessly. Every record must be an object
+and every field is read by one rule (`KINDS`), naming the record and the field
+on error.
 """
 
 from __future__ import annotations
@@ -54,69 +56,104 @@ class Dataset:
         return grouped
 
 
-def _require(record: dict, key: str, context: str):
-    if key not in record:
-        raise DataFormatError(f"{context}: missing field {key!r}")
-    return record[key]
+_REQUIRED = object()
+_NUMBER = frozenset((int, float))
+
+# The rule for each kind of JSON value, for data files and config keys alike:
+# kind -> (what the value must be, test). A bool is never an integer or a number.
+KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in _NUMBER and math.isfinite(v)),
+    bool: ("0, 1, true or false", lambda v: type(v) in (bool, int) and v in (0, 1)),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a list", lambda v: type(v) is list),
+}
+
+
+def _field(rec: dict, key: str, kind: type, context: str, default=_REQUIRED):
+    """`rec[key]` checked against `KINDS[kind]` and given as a `kind`, or
+    `default` when the key is absent. Errors name the record (`context`) and
+    the field once."""
+    try:
+        value = rec[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise DataFormatError(f"{context}: missing field {key!r}") from None
+        return default
+    except TypeError:  # a list, string, number or null where a record belongs
+        raise DataFormatError(f"{context} must be an object, got {rec!r:.60}") from None
+    expected, test = KINDS[kind]
+    if not test(value):
+        raise DataFormatError(f"{context}: {key} must be {expected}, got {value!r}")
+    return value if type(value) is kind else kind(value)
+
+
+def _pair(rec: dict, key: str, kind: type, context: str, open_end: bool = False) -> tuple:
+    """Two-item list field of `kind`s; with `open_end` the second may be null
+    (an unbounded upper end, given as math.inf)."""
+    pair = _field(rec, key, list, context)
+    expected, test = KINDS[kind]
+    if len(pair) != 2 or not test(pair[0]) or not (
+        test(pair[1]) or (open_end and pair[1] is None)
+    ):
+        raise DataFormatError(f"{context}: {key} must be two items, each {expected}, got {pair!r}")
+    return kind(pair[0]), math.inf if pair[1] is None else kind(pair[1])
+
+
+def _box(rec: dict, context: str) -> BBox:
+    bbox = _field(rec, "bbox", list, context)
+    if len(bbox) != 4 or not _NUMBER.issuperset(map(type, bbox)):
+        raise DataFormatError(f"{context}: bbox must be four numbers [x, y, w, h], got {bbox!r}")
+    return _build(context, BBox, *map(float, bbox))
+
+
+def _build(context: str, make, *args):
+    """`make(*args)`, with its ValueError re-raised naming the record."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DataFormatError(f"{context}: {exc}") from None
 
 
 def dataset_from_dict(data: dict) -> Dataset:
-    if not isinstance(data, dict):
-        raise DataFormatError("annotation file must hold a JSON object")
     images = []
     seen_images: set[int] = set()
-    for rec in data.get("images", []):
-        img_id = int(_require(rec, "id", "image"))
+    for i, rec in enumerate(_field(data, "images", list, "annotation file", [])):
+        img_id = _field(rec, "id", int, f"image #{i}")
         if img_id in seen_images:
             raise DataFormatError(f"image {img_id}: duplicate id")
         seen_images.add(img_id)
-        height = int(_require(rec, "height", f"image {img_id}"))
-        width = int(_require(rec, "width", f"image {img_id}"))
+        height = _field(rec, "height", int, f"image {img_id}")
+        width = _field(rec, "width", int, f"image {img_id}")
         if height < 1 or width < 1:
             raise DataFormatError(f"image {img_id}: non-positive size {height}x{width}")
         images.append(ImageInfo(img_id, height, width))
 
     categories = [
-        {"id": int(_require(rec, "id", "category")), "name": str(rec.get("name", ""))}
-        for rec in data.get("categories", [])
+        {"id": _field(rec, "id", int, f"category #{i}"),
+         "name": _field(rec, "name", str, f"category #{i}", "")}
+        for i, rec in enumerate(_field(data, "categories", list, "annotation file", []))
     ]
     categories.sort(key=lambda c: c["id"])
     cat_ids = {c["id"] for c in categories}
 
     instances = []
     seen_anns: set[int] = set()
-    for rec in data.get("annotations", []):
-        ann_id = int(_require(rec, "id", "annotation"))
+    for i, rec in enumerate(_field(data, "annotations", list, "annotation file", [])):
+        ann_id = _field(rec, "id", int, f"annotation #{i}")
         if ann_id in seen_anns:
             raise DataFormatError(f"annotation {ann_id}: duplicate id")
         seen_anns.add(ann_id)
-        image_id = int(_require(rec, "image_id", f"annotation {ann_id}"))
+        context = f"annotation {ann_id}"
+        image_id = _field(rec, "image_id", int, context)
         if image_id not in seen_images:
-            raise DataFormatError(
-                f"annotation {ann_id}: references missing image {image_id}"
-            )
-        category_id = int(_require(rec, "category_id", f"annotation {ann_id}"))
+            raise DataFormatError(f"{context}: references missing image {image_id}")
+        category_id = _field(rec, "category_id", int, context)
         if cat_ids and category_id not in cat_ids:
-            raise DataFormatError(
-                f"annotation {ann_id}: references missing category {category_id}"
-            )
-        bbox = _require(rec, "bbox", f"annotation {ann_id}")
-        try:
-            box = BBox(*(float(v) for v in bbox))
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"annotation {ann_id}: bad bbox {bbox!r}: {exc}")
-        try:
-            instances.append(
-                Instance(
-                    bbox=box,
-                    category_id=category_id,
-                    iscrowd=bool(rec.get("iscrowd", 0)),
-                    id=ann_id,
-                    image_id=image_id,
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"annotation {ann_id}: {exc}")
+            raise DataFormatError(f"{context}: references missing category {category_id}")
+        box = _box(rec, context)
+        iscrowd = _field(rec, "iscrowd", bool, context, False)
+        instances.append(_build(context, Instance, box, category_id, iscrowd, ann_id, image_id))
     return Dataset(images, instances, categories)
 
 
@@ -145,49 +182,46 @@ def load_annotations(path: str | os.PathLike) -> Dataset:
     return dataset_from_dict(load_json(path))
 
 
-def detection_records(data) -> list[dict]:
+def _records(path: str | os.PathLike, key: str, what: str) -> list:
+    """The records of a JSON file: a bare list, or the list under `key`."""
+    data = load_json(path)
     if isinstance(data, dict):
-        data = data.get("detections")
+        data = data.get(key)
     if not isinstance(data, list):
-        raise DataFormatError(
-            "detection file must be a JSON list or an object with a 'detections' list"
-        )
+        raise DataFormatError(f"{what} must be a JSON list or an object with a {key!r} list")
     return data
 
 
-def _detection_from_record(rec: dict, index: int) -> tuple[Detection, float | None]:
-    context = f"detection #{index}"
-    bbox = _require(rec, "bbox", context)
-    try:
-        box = BBox(*(float(v) for v in bbox))
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{context}: bad bbox {bbox!r}: {exc}")
-    try:
-        det = Detection(
-            bbox=box,
-            category_id=int(_require(rec, "category_id", context)),
-            score=float(_require(rec, "score", context)),
-            image_id=int(_require(rec, "image_id", context)),
-            resolution_index=int(rec.get("resolution_index", -1)),
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"{context}: {exc}")
-    factor = rec.get("scale_factor")
-    if factor is not None and not (isinstance(factor, (int, float)) and 0 < factor < math.inf):
-        raise DataFormatError(
-            f"{context}: scale_factor must be a finite positive number, got {factor!r}"
-        )
-    return det, None if factor is None else float(factor)
+def _scale_factor(rec: dict, context: str, default=None) -> float | None:
+    factor = _field(rec, "scale_factor", float, context, default)
+    if factor is not None and factor <= 0:
+        raise DataFormatError(f"{context}: scale_factor must be positive, got {factor!r}")
+    return factor
+
+
+def _detection(rec: dict, context: str, resolution_index: int | None = None) -> Detection:
+    """The record's detection; a given `resolution_index` replaces its own."""
+    box = _box(rec, context)
+    category_id = _field(rec, "category_id", int, context)
+    score = _field(rec, "score", float, context)
+    image_id = _field(rec, "image_id", int, context)
+    own_index = _field(rec, "resolution_index", int, context, -1)
+    return _build(context, Detection, box, category_id, score, image_id,
+                  own_index if resolution_index is None else resolution_index)
 
 
 def load_detection_records(path: str | os.PathLike) -> list[dict]:
-    return detection_records(load_json(path))
+    return _records(path, "detections", "detection file")
 
 
 def load_detections(path: str | os.PathLike) -> list[Detection]:
     """Flat detection list; scale_factor tags are checked, then dropped."""
-    records = load_detection_records(path)
-    return [_detection_from_record(rec, i)[0] for i, rec in enumerate(records)]
+    dets = []
+    for i, rec in enumerate(load_detection_records(path)):
+        context = f"detection #{i}"
+        _scale_factor(rec, context)
+        dets.append(_detection(rec, context))
+    return dets
 
 
 def tagged_detections_from_records(
@@ -198,24 +232,13 @@ def tagged_detections_from_records(
     Each group's detections are assigned that group's resolution index.
     Untagged records are rejected: fusion needs to know the source resolution.
     """
-    grouped: dict[float, list[Detection]] = {}
-    for i, rec in enumerate(records):
-        det, factor = _detection_from_record(rec, i)
-        if factor is None:
-            raise DataFormatError(f"detection #{i}: missing scale_factor tag")
-        grouped.setdefault(factor, []).append(det)
-    out = []
-    for index, factor in enumerate(sorted(grouped, reverse=True)):
-        dets = [
-            Detection(d.bbox, d.category_id, d.score, d.image_id, index)
-            for d in grouped[factor]
-        ]
-        out.append((factor, dets))
-    return out
-
-
-def load_tagged_detections(path: str | os.PathLike) -> list[tuple[float, list[Detection]]]:
-    return tagged_detections_from_records(load_detection_records(path))
+    contexts = [f"detection #{i}" for i in range(len(records))]
+    factors = [_scale_factor(rec, context, _REQUIRED) for rec, context in zip(records, contexts)]
+    grouped: dict[float, list[Detection]] = {f: [] for f in sorted(set(factors), reverse=True)}
+    index = {factor: k for k, factor in enumerate(grouped)}
+    for rec, context, factor in zip(records, contexts, factors):
+        grouped[factor].append(_detection(rec, context, index[factor]))
+    return list(grouped.items())
 
 
 def detections_to_records(
@@ -238,50 +261,25 @@ def detections_to_records(
 
 def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], dict]:
     """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}]."""
-    data = load_json(path)
-    if isinstance(data, dict):
-        data = data.get("entries")
-    if not isinstance(data, list):
-        raise DataFormatError(
-            "lookup file must be a JSON list or an object with an 'entries' list"
-        )
     table = {}
-    for i, rec in enumerate(data):
-        pair = _require(rec, "range", f"lookup entry #{i}")
-        try:
-            rng = ScaleRange.from_pair(pair)
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"lookup entry #{i}: bad range {pair!r}: {exc}")
-        if "ap" not in rec:
-            raise DataFormatError(f"lookup entry #{i}: missing field 'ap'")
-        table[(rng.lower, rng.upper)] = {k: v for k, v in rec.items() if k != "range"}
+    for i, rec in enumerate(_records(path, "entries", "lookup file")):
+        context = f"lookup entry #{i}"
+        lower, upper = _pair(rec, "range", float, context, open_end=True)
+        _build(context, ScaleRange, lower, upper)
+        _field(rec, "ap", float, context)
+        table[(lower, upper)] = {k: v for k, v in rec.items() if k != "range"}
     return table
 
 
 def load_snip_table(path: str | os.PathLike) -> SnipRangeTable:
     """Table entries: [{"resolution": [h, w], "valid_range": [lo, hi], "scale_factor": f?}]."""
-    data = load_json(path)
-    if isinstance(data, dict):
-        data = data.get("entries")
-    if not isinstance(data, list) or not data:
-        raise DataFormatError("range table must be a non-empty JSON list of entries")
     entries = []
-    for i, rec in enumerate(data):
-        res = _require(rec, "resolution", f"table entry #{i}")
-        rng = _require(rec, "valid_range", f"table entry #{i}")
-        factor = rec.get("scale_factor")
-        try:
-            entries.append(
-                SnipEntry(
-                    height=int(res[0]),
-                    width=int(res[1]),
-                    lower=float(rng[0]),
-                    upper=math.inf if rng[1] is None else float(rng[1]),
-                    factor=None if factor is None else float(factor),
-                )
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise DataFormatError(f"table entry #{i}: {exc}")
+    for i, rec in enumerate(_records(path, "entries", "range table")):
+        context = f"table entry #{i}"
+        height, width = _pair(rec, "resolution", int, context)
+        lower, upper = _pair(rec, "valid_range", float, context, open_end=True)
+        factor = _field(rec, "scale_factor", float, context, None)
+        entries.append(_build(context, SnipEntry, height, width, lower, upper, factor))
     return SnipRangeTable(tuple(entries))
 
 

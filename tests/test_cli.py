@@ -25,6 +25,77 @@ PERFECT_DETECTIONS = [
 ]
 
 
+IMAGE = PERFECT_ANNOTATIONS["images"][0]
+ANNOTATION = PERFECT_ANNOTATIONS["annotations"][0]
+SNIP_ENTRY = {"resolution": [800, 1200], "valid_range": [40, 160]}
+
+# Commands reading a malformed input: BAD is that file, ANN a valid
+# annotation file, OUT and OUT2 outputs that must not be written.
+STAGE_HIST = ["stage-hist", "--annotations", "BAD", "--out", "OUT"]
+FUSE = ["fuse", "--dets", "BAD", "--out", "OUT"]
+EVAL = ["eval", "--annotations", "ANN", "--dets", "BAD", "--out", "OUT"]
+SNIP_PARTITION = ["partition", "--annotations", "ANN", "--policy", "snip", "--snip-table", "BAD",
+                  "--out", "OUT"]
+ANALYZE_SNIP = ["analyze-snip", "--annotations", "ANN", "--snip-table", "BAD", "--out", "OUT"]
+SEARCH = ["search", "--table", "BAD", "--out", "OUT"]
+SIMULATE = ["simulate", "--images", "2", "--out", "OUT", "--out-dets", "OUT2"]
+
+
+def with_image(**changes):
+    return dict(PERFECT_ANNOTATIONS, images=[dict(IMAGE, **changes)])
+
+
+def with_annotation(annotation):
+    return dict(PERFECT_ANNOTATIONS, annotations=[annotation])
+
+
+# (command, its malformed input, the one error line it must print)
+BAD_INPUTS = [
+    pytest.param(STAGE_HIST, with_image(id=1.7), "image #0: id must be an integer, got 1.7",
+                 id="fractional-id"),
+    pytest.param(STAGE_HIST, with_image(id=True), "image #0: id must be an integer, got True",
+                 id="bool-id"),
+    pytest.param(STAGE_HIST, with_image(id="1"), "image #0: id must be an integer, got '1'",
+                 id="string-id"),
+    pytest.param(STAGE_HIST, with_image(height=math.nan),
+                 "image 1: height must be an integer, got nan", id="nan-height"),
+    pytest.param(STAGE_HIST, with_image(height=480.9),
+                 "image 1: height must be an integer, got 480.9", id="fractional-height"),
+    pytest.param(STAGE_HIST, with_annotation(5), "annotation #0 must be an object, got 5",
+                 id="non-object-annotation"),
+    pytest.param(STAGE_HIST, with_annotation(dict(ANNOTATION, iscrowd="no")),
+                 "annotation 1: iscrowd must be 0, 1, true or false, got 'no'",
+                 id="string-iscrowd"),
+    pytest.param(STAGE_HIST, with_annotation(dict(ANNOTATION, category_id=True)),
+                 "annotation 1: category_id must be an integer, got True", id="bool-category"),
+    pytest.param(FUSE, [dict(PERFECT_DETECTIONS[0], score="0.5", scale_factor=1.0)],
+                 "detection #0: score must be a finite number, got '0.5'", id="string-score"),
+    pytest.param(FUSE, [dict(PERFECT_DETECTIONS[0], image_id=1.7, scale_factor=1.0)],
+                 "detection #0: image_id must be an integer, got 1.7", id="fractional-image-id"),
+    pytest.param(EVAL, [PERFECT_DETECTIONS[0], [1, 2]],
+                 "detection #1 must be an object, got [1, 2]", id="non-object-detection"),
+    pytest.param(SNIP_PARTITION, [dict(SNIP_ENTRY, scale_factor=math.nan)],
+                 "table entry #0: scale_factor must be a finite number, got nan", id="nan-factor"),
+    pytest.param(SNIP_PARTITION, [dict(SNIP_ENTRY, scale_factor=-2)],
+                 "table entry #0: scale_factor must be finite and positive, got -2.0",
+                 id="negative-factor"),
+    pytest.param(ANALYZE_SNIP, [dict(SNIP_ENTRY, resolution=[0, 0])],
+                 "table entry #0: resolution must be at least 1x1, got 0x0", id="empty-resolution"),
+    pytest.param(SEARCH, [{"range": [0, 640], "ap": "38"}],
+                 "lookup entry #0: ap must be a finite number, got '38'", id="numeric-string-ap"),
+    pytest.param(SEARCH, [{"range": [0, 640], "ap": "x"}],
+                 "lookup entry #0: ap must be a finite number, got 'x'", id="string-ap"),
+    pytest.param(SIMULATE + ["--crowd-fraction", "nan"], None,
+                 "crowd_fraction must lie in [0, 1], got nan", id="nan-crowd-fraction"),
+    pytest.param(SIMULATE + ["--crowd-fraction", "2"], None,
+                 "crowd_fraction must lie in [0, 1], got 2.0", id="crowd-fraction-2"),
+    pytest.param(SIMULATE + ["--crowd-fraction", "-1"], None,
+                 "crowd_fraction must lie in [0, 1], got -1.0", id="negative-crowd-fraction"),
+    pytest.param(SIMULATE + ["--categories", "0"], None,
+                 "num_categories must be at least 1, got 0", id="no-categories"),
+]
+
+
 @pytest.fixture
 def annotations(tmp_path):
     path = tmp_path / "annotations.json"
@@ -131,10 +202,14 @@ class TestSimulateFuseEvalPipeline:
         ann = tmp_path / "ann.json"
         dets = tmp_path / "dets.json"
         run_cli("simulate", "--images", 5, "--seed", 2, "--out", ann, "--out-dets", dets)
-        from scalenorm.dataio import load_annotations, load_tagged_detections
+        from scalenorm.dataio import (
+            load_annotations,
+            load_detection_records,
+            tagged_detections_from_records,
+        )
 
         ds = load_annotations(ann)
-        tagged = load_tagged_detections(dets)
+        tagged = tagged_detections_from_records(load_detection_records(dets))
         assert ds.instances and len(tagged) == 5
 
 
@@ -313,6 +388,20 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith("error: lookup entry #1: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, data, message", BAD_INPUTS)
+    def test_bad_input_names_record_and_field(
+        self, tmp_path, annotations, capsys, argv, data, message
+    ):
+        """Exit 1 with one `error:` line naming the record and field, and no output file."""
+        bad = tmp_path / "bad.json"
+        if data is not None:
+            bad.write_text(json.dumps(data))
+        before = sorted(tmp_path.iterdir())
+        paths = {"BAD": bad, "ANN": annotations, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+        assert run_cli(*(paths.get(a, a) for a in argv)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -8,10 +8,10 @@ from scalenorm.dataio import (
     dataset_to_dict,
     detections_to_records,
     load_annotations,
+    load_detection_records,
     load_detections,
     load_oracle_table,
     load_snip_table,
-    load_tagged_detections,
     tagged_detections_from_records,
     write_csv,
     write_json,
@@ -95,7 +95,7 @@ class TestDetectionDumps:
         ) + detections_to_records([Detection(BBox(2, 2, 3, 4), 1, 0.6, 1)], factor=2.0)
         path = tmp_path / "dets.json"
         write_json(path, records)
-        tagged = load_tagged_detections(path)
+        tagged = tagged_detections_from_records(load_detection_records(path))
         assert [factor for factor, _ in tagged] == [2.0, 0.5]
         assert tagged[0][1][0].resolution_index == 0
         assert tagged[1][1][0].resolution_index == 1
@@ -114,7 +114,7 @@ class TestDetectionDumps:
         with pytest.raises(DataFormatError, match="detection #0"):
             load_detections(path)
 
-    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0, -1.0, "2"])
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0, -1.0, "2", True])
     def test_bad_scale_factor_names_record(self, factor):
         records = detections_to_records([Detection(BBox(1, 2, 3, 4), 1, 0.5, 1)] * 2, 1.0)
         records[1]["scale_factor"] = factor
@@ -155,6 +155,17 @@ class TestTables:
         path = tmp_path / "snip.json"
         write_json(path, [entry])
         with pytest.raises(DataFormatError, match="table entry #0: "):
+            load_snip_table(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("resolution", [800.5, 1200]), ("valid_range", ["40", 160]), ("valid_range", [40, True])],
+    )
+    def test_snip_table_non_number_names_entry_and_field(self, tmp_path, field, value):
+        entry = {"resolution": [800, 1200], "valid_range": [40, 160], field: value}
+        path = tmp_path / "snip.json"
+        write_json(path, [entry])
+        with pytest.raises(DataFormatError, match=f"table entry #0: {field} must be two items"):
             load_snip_table(path)
 
     def test_snip_table(self, tmp_path):

@@ -9,7 +9,6 @@ from .geometry import (
     PyramidSpec,
     ScaleRange,
     instance_scale,
-    iou,
     project_box,
     resize_plan,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "generate_dataset",
     "greedy_range_search",
     "instance_scale",
-    "iou",
     "isn_partition",
     "load_annotations",
     "project_box",

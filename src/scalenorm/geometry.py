@@ -152,8 +152,3 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a, area_b = ((c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1]) for c in (a, b))
     return inter / (area_a[:, None] + area_b - inter)
 
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    ca, cb = (to_corners(np.array([[box.x, box.y, box.w, box.h]])) for box in (a, b))
-    return float(iou_matrix(ca, cb)[0, 0])

@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from scalenorm import BBox, Detection, Instance
+from scalenorm.geometry import to_corners
 
 # Published range -> AP pairs used by the search fixtures.
 RANGE_AP_TABLE = {
@@ -46,6 +47,11 @@ def make_detection(
     resolution_index: int = -1,
 ) -> Detection:
     return Detection(box, category_id, score, image_id, resolution_index)
+
+
+def corner_rows(*boxes: BBox) -> np.ndarray:
+    """Boxes as the (N, 4) corner rows `geometry.iou_matrix` takes."""
+    return to_corners(np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float))
 
 
 def random_box(rng: np.random.Generator, span: float = 100.0) -> BBox:

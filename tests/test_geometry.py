@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from scalenorm import BBox, Detection, Instance, PyramidSpec, ScaleRange
-from scalenorm.geometry import instance_scale, iou, iou_matrix, project_box, resize_plan, to_corners
+from scalenorm.geometry import instance_scale, iou_matrix, project_box, resize_plan, to_corners
 
-from conftest import random_box
+from conftest import corner_rows, random_box
 from oracles import _iou_corners, iou_grid_count, xywh_to_corners
 
 
@@ -126,15 +126,16 @@ class TestProjectBox:
 class TestIou:
     def test_identity_disjoint_partial(self):
         a = BBox(0, 0, 2, 2)
-        assert iou(a, a) == 1.0
-        assert iou(a, BBox(10, 10, 2, 2)) == 0.0
-        assert iou(a, BBox(1, 0, 2, 2)) == pytest.approx(1 / 3, abs=1e-12)
+        row = iou_matrix(corner_rows(a), corner_rows(a, BBox(10, 10, 2, 2), BBox(1, 0, 2, 2)))[0]
+        assert row[0] == 1.0
+        assert row[1] == 0.0
+        assert row[2] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_symmetry_and_bounds(self, rng):
         for _ in range(300):
-            a, b = random_box(rng), random_box(rng)
-            v = iou(a, b)
-            assert v == iou(b, a)
+            a, b = corner_rows(random_box(rng)), corner_rows(random_box(rng))
+            v = iou_matrix(a, b)[0, 0]
+            assert v == iou_matrix(b, a)[0, 0]
             assert 0.0 <= v <= 1.0
 
     def test_matrix_matches_corner_reference(self, rng):
@@ -156,4 +157,5 @@ class TestIou:
             a = BBox(float(ax), float(ay), float(aw), float(ah))
             b = BBox(float(bx), float(by), float(bw), float(bh))
             expected = iou_grid_count((ax, ay, aw, ah), (bx, by, bw, bh))
-            assert iou(a, b) == pytest.approx(expected, abs=1e-9)
+            got = iou_matrix(corner_rows(a), corner_rows(b))[0, 0]
+            assert got == pytest.approx(expected, abs=1e-9)

@@ -56,7 +56,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.category_id < 1:
-            raise ValueError(f"instance {self.id}: category_id must be >= 1")
+            raise ValueError(f"category_id must be >= 1, got {self.category_id!r}")
 
 
 @dataclass(frozen=True)

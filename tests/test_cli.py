@@ -68,6 +68,8 @@ BAD_INPUTS = [
                  id="string-iscrowd"),
     pytest.param(STAGE_HIST, with_annotation(dict(ANNOTATION, category_id=True)),
                  "annotation 1: category_id must be an integer, got True", id="bool-category"),
+    pytest.param(STAGE_HIST, dict(with_annotation(dict(ANNOTATION, category_id=0)), categories=[]),
+                 "annotation 1: category_id must be >= 1, got 0", id="zero-category"),
     pytest.param(FUSE, [dict(PERFECT_DETECTIONS[0], score="0.5", scale_factor=1.0)],
                  "detection #0: score must be a finite number, got '0.5'", id="string-score"),
     pytest.param(FUSE, [dict(PERFECT_DETECTIONS[0], image_id=1.7, scale_factor=1.0)],

@@ -74,6 +74,9 @@ BAD_INPUTS = [
                  "detection #0: score must be a finite number, got '0.5'", id="string-score"),
     pytest.param(FUSE, [dict(PERFECT_DETECTIONS[0], image_id=1.7, scale_factor=1.0)],
                  "detection #0: image_id must be an integer, got 1.7", id="fractional-image-id"),
+    pytest.param(EVAL, [dict(PERFECT_DETECTIONS[0], bbox=["10", 10, 100, 100])],
+                 "detection #0: bbox must be four numbers [x, y, w, h], got ['10', 10, 100, 100]",
+                 id="string-coordinate"),
     pytest.param(EVAL, [PERFECT_DETECTIONS[0], [1, 2]],
                  "detection #1 must be an object, got [1, 2]", id="non-object-detection"),
     pytest.param(SNIP_PARTITION, [dict(SNIP_ENTRY, scale_factor=math.nan)],

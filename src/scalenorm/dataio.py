@@ -278,7 +278,7 @@ def load_snip_table(path: str | os.PathLike) -> SnipRangeTable:
         context = f"table entry #{i}"
         height, width = _pair(rec, "resolution", int, context)
         lower, upper = _pair(rec, "valid_range", float, context, open_end=True)
-        factor = _field(rec, "scale_factor", float, context, None)
+        factor = _scale_factor(rec, context)
         entries.append(_build(context, SnipEntry, height, width, lower, upper, factor))
     return SnipRangeTable(tuple(entries))
 

@@ -3,7 +3,8 @@
 The sha256 of every file written by the pipeline below (seed 17, 40 images)
 is pinned in `golden_digests.json`, together with the unrestricted `eval`
 (JSON and CSV), a restricted `eval` on a dataset with 20% crowd regions, and
-the `search --simulate` result on 8 images, both `partition` policies (the
+the `search --simulate` result on 8 images (once with the defaults, once with
+a scale restriction, `max_dets` below `fusion_top_k` and hard suppression), both `partition` policies (the
 SNIP one on its default table), `analyze-snip` (JSON and CSV), the
 `stage-hist` JSON and `search --table` on the README's lookup table. A
 refactor that claims to preserve behaviour must leave every digest unchanged;
@@ -41,6 +42,7 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         "metrics_unrestricted.csv": workdir / "metrics_unrestricted.csv",
         "crowd_metrics.json": workdir / "crowd_metrics.json",
         "search.json": workdir / "search.json",
+        "search_restricted.json": workdir / "search_restricted.json",
         "partition_isn.json": workdir / "partition_isn.json",
         "partition_snip.json": workdir / "partition_snip.json",
         "analyze_snip.json": workdir / "analyze_snip.json",
@@ -69,6 +71,10 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         ["eval", "--annotations", crowd_ann, "--dets", crowd_fused,
          "--scale-range", "16,560", "--out", paths["crowd_metrics.json"]],
         ["search", "--simulate", "--images", "8", "--seed", "17", "--out", paths["search.json"]],
+        ["search", "--simulate", "--images", "8", "--seed", "17",
+         "--set", "eval.scale_restriction=[16,560]", "--set", "eval.max_dets=10",
+         "--set", "fusion_top_k=5", "--set", "soft_nms.method=hard",
+         "--out", paths["search_restricted.json"]],
         ["partition", "--annotations", ann, "--policy", "isn",
          "--out", paths["partition_isn.json"]],
         ["partition", "--annotations", ann, "--policy", "snip",

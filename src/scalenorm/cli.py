@@ -4,6 +4,7 @@ range search, and the synthetic detector into file-based pipelines."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -22,7 +23,9 @@ from .sampling import (
     snip_partition,
 )
 from .search import ApOracle, greedy_range_search
-from .simulate import generate_dataset, simulate_detections, strategy_detections
+from .simulate import (
+    generate_dataset, isn_range_evaluator, simulate_detections, strategy_detections,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,6 +51,7 @@ _SHARED = {
 }
 
 
+@functools.cache  # parse_args copies the `--set` list default, so calls share no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scalenorm",
@@ -143,6 +147,7 @@ def _snip_table(args: argparse.Namespace):
 
 def _cmd_partition(args: argparse.Namespace, cfg: AppConfig) -> int:
     dataset = dataio.load_annotations(args.annotations)
+    table = _snip_table(args)  # read and checked under either policy
     # (what names the resolution, its partition) per resolution index
     if args.policy == "isn":
         parts = [
@@ -150,7 +155,6 @@ def _cmd_partition(args: argparse.Namespace, cfg: AppConfig) -> int:
             for i, f in enumerate(cfg.pyramid)
         ]
     else:
-        table = _snip_table(args)
         parts = [
             ({"resolution": [e.height, e.width]}, snip_partition(dataset.instances, i, table))
             for i, e in enumerate(table.entries)
@@ -287,20 +291,10 @@ def _cmd_search(args: argparse.Namespace, cfg: AppConfig) -> int:
     else:
         dataset = generate_dataset(args.images, cfg.seed)
         per_resolution = simulate_detections(dataset, cfg.pyramid, cfg.detector)
-        image_ids = sorted(img.id for img in dataset.images)
-
-        def run(rng: ScaleRange) -> EvalResult:
-            fused = strategy_detections(
-                per_resolution,
-                image_ids,
-                rng,
-                "isn",
-                cfg.soft_nms,
-                cfg.fusion_top_k,
-            )
-            return evaluate(dataset.instances, fused, cfg.eval, dataset.category_ids())
-
-        oracle = ApOracle(run)
+        hull = ScaleRange(cfg.search.lower_candidates[0], cfg.search.upper_candidates[-1])
+        oracle = ApOracle(isn_range_evaluator(
+            dataset, per_resolution, hull, cfg.soft_nms, cfg.fusion_top_k, cfg.eval
+        ))
     best, trace = greedy_range_search(cfg.search, oracle)
     best_ap = next(ap for rng, ap in trace if (rng.lower, rng.upper) == (best.lower, best.upper))
     dataio.write_json(

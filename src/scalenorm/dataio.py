@@ -20,6 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
+from .evaluation import _HEADLINE
 from .geometry import BBox, Detection, Instance, ScaleRange
 from .sampling import SnipEntry, SnipRangeTable
 
@@ -67,6 +68,7 @@ KINDS = {
     bool: ("0, 1, true or false", lambda v: type(v) in (bool, int) and v in (0, 1)),
     str: ("a string", lambda v: type(v) is str),
     list: ("a list", lambda v: type(v) is list),
+    dict: ("an object", lambda v: type(v) is dict),
 }
 
 
@@ -260,13 +262,20 @@ def detections_to_records(
 
 
 def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], dict]:
-    """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}]."""
+    """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}],
+    `EvalResult` fields; `per_category` maps category-id strings to numbers."""
     table = {}
     for i, rec in enumerate(_records(path, "entries", "lookup file")):
         context = f"lookup entry #{i}"
         lower, upper = _pair(rec, "range", float, context, open_end=True)
         _build(context, ScaleRange, lower, upper)
         _field(rec, "ap", float, context)
+        for name in _HEADLINE[1:]:
+            _field(rec, name, float, context, None)
+        per_category = _field(rec, "per_category", dict, context, {})
+        if not all(k.isdecimal() and KINDS[float][1](v) for k, v in per_category.items()):
+            raise DataFormatError(f"{context}: per_category must map category ids to "
+                                  f"finite numbers, got {per_category!r}")
         table[(lower, upper)] = {k: v for k, v in rec.items() if k != "range"}
     return table
 

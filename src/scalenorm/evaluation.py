@@ -8,10 +8,15 @@ scale restriction) can absorb detections without producing true or false
 positives. Average precision interpolates precision at evenly spaced recall
 points (101 by default) and averages over IoU thresholds and categories.
 
-Each (image, category) unit computes one IoU matrix and keeps, per detection,
-its candidates: the ground truth at or above the lowest threshold, the only
-ones it can ever match. Matching walks just the candidates and fills one lane
-per (area bucket, IoU threshold); a unit without candidates is never walked.
+Evaluation joins two prepared sides. The ground-truth side holds each
+(image, category) unit's crowd flags and, per area bucket, its ignore flags.
+The detection side holds each detection row's image, category, bucket and
+scale, and its candidates: the ground truth of its unit at or above the
+lowest threshold, the only ones it can ever match, read from one IoU matrix
+per image. It depends on neither scores nor ignore flags, so both passes of
+`ap_by_scale_report` share it and range search reuses it for every probe.
+Matching walks just the candidates and fills one lane per (area bucket, IoU
+threshold); a unit without candidates is never walked.
 All lanes of a category share one stable score ranking, in which absorbed
 detections (and unmatched ones outside the bucket) stay masked: they add to
 neither the TP nor the FP count and their precision is 0, so the AP and recall
@@ -28,7 +33,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Detection, Instance, ScaleRange, instance_scale, iou_matrix, to_corners
+from .geometry import (
+    _CATEGORY, _H, _IMAGE, _SCORE, _W, UNBOUNDED_RANGE, Detection, Instance, ScaleRange,
+    _detection_table, instance_scale, iou_matrix, to_corners,
+)
 
 BUCKET_NAMES = ("all", "small", "medium", "large")
 _HEADLINE = ("ap", "ap50", "ap75", "ap_s", "ap_m", "ap_l", "ar")  # EvalResult's scalars
@@ -111,45 +119,76 @@ class EvalResult:
         return rows
 
 
-class _ImageUnit:
-    """Per-(image, category) matching inputs shared by every bucket and threshold."""
+def _ground_truth(gts: list[Instance], cfg: EvalConfig) -> tuple[dict, dict]:
+    """The ground-truth side: per image, (corner rows, categories, position
+    of each in its unit); per unit, (crowd flags, ignore flags per bucket)."""
+    restrict = cfg.scale_restriction or UNBOUNDED_RANGE
+    by_image: dict[int, list[tuple]] = {}
+    units: dict[tuple[int, int], tuple[list[bool], list[list[bool]]]] = {}
+    for g in gts:
+        crowd, ignore = units.setdefault(
+            (g.image_id, g.category_id), ([], [[] for _ in BUCKET_NAMES])
+        )
+        b = g.bbox
+        by_image.setdefault(g.image_id, []).append((b.x, b.y, b.w, b.h, g.category_id, len(crowd)))
+        crowd.append(bool(g.iscrowd))
+        base = crowd[-1] or not restrict.contains(instance_scale(b))
+        bucket = cfg.bucket_of(b.area)
+        for name, flags in zip(BUCKET_NAMES, ignore):  # ignored, or outside a bucket but "all"
+            flags.append(base or name not in ("all", bucket))
+    images = {}
+    for img, rows in by_image.items():
+        a = np.array(rows)
+        images[img] = (to_corners(a[:, :4]), a[:, 4], a[:, 5].astype(int).tolist())
+    return images, units
 
-    __slots__ = ("scores", "crowd", "gt_ignore", "det_buckets", "candidates")
 
-    def __init__(self, gts: list[Instance], dets: list[Detection], cfg: EvalConfig):
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-        dets = [dets[i] for i in order[: cfg.max_dets]]
-        self.scores = [d.score for d in dets]
-        self.crowd = [bool(g.iscrowd) for g in gts]
-        restrict = cfg.scale_restriction
-        base_ignore = [
-            g.iscrowd
-            or (restrict is not None and not restrict.contains(instance_scale(g.bbox)))
-            for g in gts
-        ]
-        gt_buckets = [cfg.bucket_of(g.bbox.area) for g in gts]
-        self.gt_ignore = {  # per bucket: ignored, or outside a bucket other than "all"
-            bucket: [ig or bucket not in ("all", b) for ig, b in zip(base_ignore, gt_buckets)]
-            for bucket in BUCKET_NAMES
-        }
-        self.det_buckets = [cfg.bucket_of(d.bbox.area) for d in dets]
-        ious = iou_matrix(_corners(dets), _corners(gts))
-        hits = ious >= cfg.iou_thresholds[0]
-        # (detection, its best IoU, [(gt, iou), ...]) for each detection that
-        # some GT matches at the lowest threshold; no other GT can ever match.
+class _DetectionRows:
+    """The detection side over the rows of a detection table: each row's
+    image, category, bucket and scale, and its candidates (best IoU,
+    [(position in the unit, IoU), ...] in position order) when it has any."""
+
+    __slots__ = ("images", "cats", "buckets", "scale", "candidates")
+
+    def __init__(self, table: np.ndarray, gt_images: dict, cfg: EvalConfig):
+        images, cats = table[:, _IMAGE].astype(int), table[:, _CATEGORY].astype(int)
+        area = table[:, _W] * table[:, _H]
+        self.images, self.cats = images.tolist(), cats.tolist()
+        self.buckets = [cfg.bucket_of(a) for a in area.tolist()]
+        self.scale = np.sqrt(area)  # instance_scale, bit for bit
+        corners = to_corners(table[:, :4])
         candidates: dict[int, list[tuple[int, float]]] = {}
-        for i, j, v in zip(*(a.tolist() for a in np.nonzero(hits)), ious[hits].tolist()):
-            candidates.setdefault(i, []).append((j, v))
-        self.candidates = [(i, max(v for _, v in c), c) for i, c in candidates.items()]
+        for img in gt_images.keys() & set(self.images):
+            gt_corners, gt_cats, positions = gt_images[img]
+            rows = np.flatnonzero(images == img)
+            ious = iou_matrix(corners[rows], gt_corners)
+            hits = (ious >= cfg.iou_thresholds[0]) & (cats[rows, None] == gt_cats)
+            rows = rows.tolist()
+            for r, k, v in zip(*(a.tolist() for a in np.nonzero(hits)), ious[hits].tolist()):
+                candidates.setdefault(rows[r], []).append((positions[k], v))
+        self.candidates = {r: (max(v for _, v in c), c) for r, c in candidates.items()}
 
-
-def _corners(records: list[Detection] | list[Instance]) -> np.ndarray:
-    xywh = np.array([(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in records])
-    return to_corners(xywh.reshape(-1, 4))
+    def units(self, rows: np.ndarray, scores: np.ndarray, cfg: EvalConfig) -> dict:
+        """Per (image, category): (scores, buckets, [(detection, best IoU,
+        candidates), ...]) of `rows`, ranked within each unit, scored `scores`."""
+        restrict = cfg.scale_restriction or UNBOUNDED_RANGE
+        keep = ((restrict.lower <= self.scale) & (self.scale <= restrict.upper)).tolist()
+        units: dict[tuple[int, int], tuple[list, list, list]] = {}
+        for r, score in zip(rows.tolist(), scores.tolist()):
+            if not keep[r]:
+                continue
+            kept, buckets, cands = units.setdefault((self.images[r], self.cats[r]), ([], [], []))
+            if len(kept) < cfg.max_dets:
+                if r in self.candidates:
+                    cands.append((len(kept), *self.candidates[r]))
+                kept.append(score)
+                buckets.append(self.buckets[r])
+        return units
 
 
 def _match_unit(
-    unit: _ImageUnit,
+    candidates: list[tuple[int, float, list[tuple[int, float]]]],
+    crowd: list[bool],
     gt_ignore: list[bool],
     thresholds: tuple[float, ...],
     is_tp: np.ndarray,
@@ -158,11 +197,6 @@ def _match_unit(
     """Greedy matching of one unit at every threshold. Row t of the unit's
     (T, D) slices `is_tp`/`is_ig` is set for each detection matched at
     threshold t; unmatched detections keep the values they came with."""
-    crowd = unit.crowd
-    ranked = [
-        (i, top, sorted(cands, key=lambda c: (gt_ignore[c[0]], c[0])))
-        for i, top, cands in unit.candidates
-    ]
     floor = -math.inf  # lowest IoU matched in the last lane walked
     for lane, threshold in enumerate(thresholds):
         if threshold <= floor:  # every match of that lane clears this one: same matches
@@ -170,21 +204,19 @@ def _match_unit(
             continue
         matched = [False] * len(crowd)
         floor = math.inf
-        for i, top, cands in ranked:
+        for i, top, cands in candidates:
             if top < threshold:
                 continue
             best = -1
             best_iou = threshold
-            for j, v in cands:
-                if matched[j] and not crowd[j]:
-                    continue
-                if best != -1 and not gt_ignore[best] and gt_ignore[j]:
-                    break
-                if best == -1:
-                    if v >= best_iou:
+            for ignored in (False, True):  # ignored ground truth only if no other qualifies
+                for j, v in cands:
+                    if gt_ignore[j] != ignored or (matched[j] and not crowd[j]):
+                        continue
+                    if v > best_iou or (best == -1 and v == best_iou):
                         best, best_iou = j, v
-                elif v > best_iou:
-                    best, best_iou = j, v
+                if best != -1:
+                    break
             if best != -1:
                 matched[best] = True
                 floor = min(floor, best_iou)
@@ -228,77 +260,38 @@ def _mean_defined(values: list[float]) -> float:
     return float(sum(defined) / len(defined)) if defined else -1.0
 
 
-def evaluate(
-    gts: list[Instance],
-    dets: list[Detection],
-    cfg: EvalConfig | None = None,
-    categories: list[int] | None = None,
-) -> EvalResult:
-    """Score detections against ground truth under COCO-style matching.
-
-    When `categories` is given it fixes the category vocabulary; records
-    outside it raise EvaluationError. Otherwise the vocabulary is the union
-    of categories seen in either input. Categories (or buckets) with no
-    non-ignored ground truth report the sentinel -1 and are excluded from
-    every mean.
-    """
-    cfg = cfg or EvalConfig()
-    if categories is not None:
-        vocab = sorted(set(categories))
-        known = set(vocab)
-        for g in gts:
-            if g.category_id not in known:
-                raise EvaluationError(
-                    f"ground-truth instance {g.id} has unknown category {g.category_id}"
-                )
-        for d in dets:
-            if d.category_id not in known:
-                raise EvaluationError(f"detection has unknown category {d.category_id}")
-    else:
-        vocab = sorted({g.category_id for g in gts} | {d.category_id for d in dets})
-
-    restrict = cfg.scale_restriction
-    if restrict is not None:
-        dets = [d for d in dets if restrict.contains(instance_scale(d.bbox))]
-
-    gt_by: dict[tuple[int, int], list[Instance]] = {}
-    det_by: dict[tuple[int, int], list[Detection]] = {}
-    for g in gts:
-        gt_by.setdefault((g.image_id, g.category_id), []).append(g)
-    for d in dets:
-        det_by.setdefault((d.image_id, d.category_id), []).append(d)
-    image_ids = sorted({g.image_id for g in gts} | {d.image_id for d in dets})
-
+def _score(gt_units: dict, det_units: dict, vocab: list[int], cfg: EvalConfig) -> EvalResult:
+    """The evaluation core: match each unit of the two prepared sides,
+    accumulate precision and recall per category, and average."""
     thresholds = cfg.iou_thresholds
     grid = np.linspace(0.0, 1.0, cfg.recall_points)
+    keys = sorted(gt_units.keys() | det_units.keys())  # image order within a category
     ap_table: dict[tuple[int, str], list[float]] = {}
     rec_table: dict[tuple[int, str], list[float]] = {}
 
     for cat in vocab:
         units = [
-            _ImageUnit(gt_by.get((img, cat), []), det_by.get((img, cat), []), cfg)
-            for img in image_ids
-            if (img, cat) in gt_by or (img, cat) in det_by
+            (gt_units.get(k, ([], [[]] * len(BUCKET_NAMES))), det_units.get(k, ([], [], [])))
+            for k in keys if k[1] == cat
         ]
-        scores = np.array([s for unit in units for s in unit.scores])
-        det_buckets = np.array([b for unit in units for b in unit.det_buckets], dtype=str)
+        scores = np.array([s for _, (kept, _, _) in units for s in kept])
+        det_buckets = np.array([b for _, (_, buckets, _) in units for b in buckets], dtype=str)
         # One lane per (bucket, threshold); detections are in unit order.
         is_tp = np.zeros((len(BUCKET_NAMES), len(thresholds), scores.size), dtype=bool)
         is_ig = np.zeros_like(is_tp)
-        n_positive = [
-            sum(unit.gt_ignore[bucket].count(False) for unit in units) for bucket in BUCKET_NAMES
-        ]
+        n_positive = []
         for b, bucket in enumerate(BUCKET_NAMES):
+            n_positive.append(sum(ignore[b].count(False) for (_, ignore), _ in units))
             if not n_positive[b]:
                 continue
             if bucket != "all":  # unmatched detections outside the bucket are ignored
                 is_ig[b] = det_buckets != bucket
             start = 0
-            for unit in units:
-                stop = start + len(unit.scores)
-                if unit.candidates:
+            for (crowd, ignore), (kept, _, candidates) in units:
+                stop = start + len(kept)
+                if candidates:
                     span = (b, slice(None), slice(start, stop))
-                    _match_unit(unit, unit.gt_ignore[bucket], thresholds, is_tp[span], is_ig[span])
+                    _match_unit(candidates, crowd, ignore[b], thresholds, is_tp[span], is_ig[span])
                 start = stop
         order = np.argsort(-scores, kind="stable")
         aps, recs = _pr_summary(order, is_tp, is_ig, n_positive, grid)
@@ -329,6 +322,55 @@ def evaluate(
     )
 
 
+def _evaluate(
+    gts: list[Instance],
+    dets: list[Detection],
+    passes: list[EvalConfig],
+    categories: list[int] | None,
+) -> list[EvalResult]:
+    """One result per config of `passes`, which differ at most in the scale
+    restriction: they share the detection side and rank it once."""
+    if categories is not None:
+        vocab = sorted(set(categories))
+        known = set(vocab)
+        for g in gts:
+            if g.category_id not in known:
+                raise EvaluationError(
+                    f"ground-truth instance {g.id} has unknown category {g.category_id}"
+                )
+        for d in dets:
+            if d.category_id not in known:
+                raise EvaluationError(f"detection has unknown category {d.category_id}")
+    else:
+        vocab = sorted({g.category_id for g in gts} | {d.category_id for d in dets})
+
+    sides = [_ground_truth(gts, cfg) for cfg in passes]
+    table = _detection_table(dets)
+    ranked = np.argsort(-table[:, _SCORE], kind="stable")
+    rows = _DetectionRows(table, sides[0][0], passes[0])
+    return [
+        _score(gt_units, rows.units(ranked, table[ranked, _SCORE], cfg), vocab, cfg)
+        for cfg, (_, gt_units) in zip(passes, sides)
+    ]
+
+
+def evaluate(
+    gts: list[Instance],
+    dets: list[Detection],
+    cfg: EvalConfig | None = None,
+    categories: list[int] | None = None,
+) -> EvalResult:
+    """Score detections against ground truth under COCO-style matching.
+
+    When `categories` is given it fixes the category vocabulary; records
+    outside it raise EvaluationError. Otherwise the vocabulary is the union
+    of categories seen in either input. Categories (or buckets) with no
+    non-ignored ground truth report the sentinel -1 and are excluded from
+    every mean.
+    """
+    return _evaluate(gts, dets, [cfg or EvalConfig()], categories)[0]
+
+
 def ap_by_scale_report(
     gts: list[Instance],
     dets: list[Detection],
@@ -340,7 +382,5 @@ def ap_by_scale_report(
     cfg = cfg or EvalConfig()
     if scale_range is None:
         raise ValueError("scale_range is required")
-    return (
-        evaluate(gts, dets, replace(cfg, scale_restriction=None), categories),
-        evaluate(gts, dets, replace(cfg, scale_restriction=scale_range), categories),
-    )
+    passes = [replace(cfg, scale_restriction=r) for r in (None, scale_range)]
+    return tuple(_evaluate(gts, dets, passes, categories))

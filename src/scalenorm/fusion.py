@@ -4,27 +4,34 @@ Predictions from each pyramid resolution are filtered by the shared scale
 range (measured in the resized image where the detector produced them),
 projected back to original-image coordinates by multiplying by 1 / factor
 (as `project_box` does; dividing rounds differently), pooled, and
-de-duplicated with Soft-NMS per category. Boxes travel as one table with a
-row per detection; `Detection` records are built only for the output.
-Everything is deterministic: candidates are processed in the total order
-(score desc, resolution_index asc, box x, y, w, h, category), exact ties in
-input order. Each category's matrix of decay factors is computed once, so a
-greedy pick costs one masked argmax, one row multiply and one floor test.
+de-duplicated with Soft-NMS per category. Everything is deterministic:
+candidates are processed in the total order (score desc, resolution_index
+asc, box x, y, w, h, category), exact ties in input order.
+
+An image's detections form a fusion index: one table with a row per
+detection inside the widest range that will be probed, projected, with each
+row's pre-projection scale, the candidate order (one lexsort) and each
+category's matrix of decay factors. A probe masks the rows by its range and
+runs the greedy loop with only those rows active, so a pick costs one masked
+argmax, one row multiply and one floor test. Soft-NMS changes only scores,
+a subset of a stable sort is still sorted and a submatrix of an elementwise
+kernel has the same bits, so a probe equals fusing its rows alone. The
+public functions build an index over their own range and probe it once;
+range search probes one index per image many times. `Detection` records are
+built only for the output.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import BBox, Detection, ScaleRange, iou_matrix, to_corners
-
-UNBOUNDED_RANGE = ScaleRange(0.0, math.inf)
-
-# Columns of a detection table.
-_X, _Y, _W, _H, _SCORE, _CATEGORY, _RESOLUTION, _IMAGE = range(8)
+from .geometry import (
+    _CATEGORY, _H, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, BBox, Detection, ScaleRange,
+    _detection_table, iou_matrix, to_corners,
+)
 
 
 @dataclass(frozen=True)
@@ -49,26 +56,6 @@ class SoftNmsConfig:
             raise ValueError(f"score_floor outside [0, 1): {self.score_floor!r}")
 
 
-def _gated_table(
-    per_resolution: list[tuple[float, list[Detection]]], scale_range: ScaleRange
-) -> np.ndarray:
-    """In-range detections of every resolution, projected to original-image
-    coordinates, stacked in input order as one (N, 8) table."""
-    tables = [np.empty((0, 8))]
-    for factor, dets in per_resolution:
-        if factor <= 0:
-            raise ValueError(f"scaling factor must be positive: {factor!r}")
-        table = np.array([
-            (d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.category_id,
-             d.resolution_index, d.image_id) for d in dets
-        ]).reshape(-1, 8)
-        scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
-        table = table[(scale_range.lower <= scale) & (scale <= scale_range.upper)]
-        table[:, :4] *= 1.0 / factor
-        tables.append(table)
-    return np.concatenate(tables)
-
-
 def _order_keys(t: np.ndarray) -> tuple[np.ndarray, ...]:
     # The candidate order as np.lexsort keys, which sorts by its last key first.
     return t[:, _CATEGORY], t[:, _H], t[:, _W], t[:, _Y], t[:, _X], t[:, _RESOLUTION], -t[:, _SCORE]
@@ -82,34 +69,62 @@ def _decay_factors(overlaps: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
     return np.where(overlaps > cfg.iou_threshold, 0.0, 1.0)
 
 
-def _suppress_category(block: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
-    # Greedy pass over one category in candidate order: pick the highest
-    # current score (ties go to the earliest candidate), decay the still
-    # active rest by overlap with the pick, drop below the floor. Returns the
-    # picked rows in pick order, carrying their final scores.
-    corners = to_corners(block[:, :4])
-    decay = _decay_factors(iou_matrix(corners, corners), cfg)
-    scores = block[:, _SCORE].copy()
-    active = np.ones(len(block), dtype=bool)
-    picks = []
-    while active[i := int(np.where(active, scores, -1.0).argmax())]:
-        picks.append(i)
-        active[i] = False
-        np.multiply(scores, decay[i], out=scores, where=active)
-        active &= scores >= cfg.score_floor
-    picked = block[picks]
-    picked[:, _SCORE] = scores[picks]
-    return picked
+class _FusionIndex:
+    """One image's detections of every resolution inside `hull`, projected,
+    in input order, with each row's pre-projection scale; probed by range."""
 
+    def __init__(
+        self,
+        per_resolution: list[tuple[float, list[Detection]]],
+        hull: ScaleRange,
+        cfg: SoftNmsConfig | None = None,
+    ):
+        tables, scales = [np.empty((0, 8))], [np.empty(0)]
+        for factor, dets in per_resolution:
+            if factor <= 0:
+                raise ValueError(f"scaling factor must be positive: {factor!r}")
+            table = _detection_table(dets)
+            scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
+            inside = (hull.lower <= scale) & (scale <= hull.upper)
+            table = table[inside]
+            table[:, :4] *= 1.0 / factor
+            tables.append(table)
+            scales.append(scale[inside])
+        self.table, self.scale = np.concatenate(tables), np.concatenate(scales)
+        self.cfg = cfg or SoftNmsConfig()
 
-def _suppress(table: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
-    """Soft-NMS per category; survivors sorted in candidate order."""
-    if not len(table):
-        return table
-    table = table[np.lexsort(_order_keys(table) + (table[:, _CATEGORY],))]
-    blocks = np.split(table, np.flatnonzero(np.diff(table[:, _CATEGORY])) + 1)
-    kept = np.concatenate([_suppress_category(block, cfg) for block in blocks])
-    return kept[np.lexsort(_order_keys(kept))]
+    @cached_property  # not needed by gate_predictions
+    def _blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # (row ids in candidate order, their decay matrix) per category.
+        t = self.table
+        order = np.lexsort(_order_keys(t) + (t[:, _CATEGORY],))
+        blocks = []
+        for rows in np.split(order, np.flatnonzero(np.diff(t[order, _CATEGORY])) + 1):
+            corners = to_corners(t[rows, :4])
+            blocks.append((rows, _decay_factors(iou_matrix(corners, corners), self.cfg)))
+        return blocks if len(t) else []
+
+    def probe(self, scale_range: ScaleRange, top_k: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Soft-NMS over the rows whose scale is in `scale_range`: the
+        survivors' row ids and rows, with final scores, in candidate order."""
+        inside = (scale_range.lower <= self.scale) & (self.scale <= scale_range.upper)
+        kept, final = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for rows, decay in self._blocks:
+            scores = self.table[rows, _SCORE]
+            active = inside[rows]
+            picks = []
+            while active[i := int(np.where(active, scores, -1.0).argmax())]:
+                picks.append(i)
+                active[i] = False
+                np.multiply(scores, decay[i], out=scores, where=active)
+                active &= scores >= self.cfg.score_floor
+            kept.append(rows[picks])
+            final.append(scores[picks])
+        rows, scores = np.concatenate(kept), np.concatenate(final)
+        picked = self.table[rows]
+        picked[:, _SCORE] = scores
+        order = np.lexsort(_order_keys(picked))[:top_k]
+        return rows[order], picked[order]
 
 
 def _detections(table: np.ndarray) -> list[Detection]:
@@ -124,7 +139,7 @@ def gate_predictions(
 ) -> list[Detection]:
     """Keep detections whose resized-image scale is in range; project the
     survivors to original-image coordinates. Input order is preserved."""
-    return _detections(_gated_table([(factor, dets)], scale_range))
+    return _detections(_FusionIndex([(factor, dets)], scale_range).table)
 
 
 def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[Detection]:
@@ -133,8 +148,8 @@ def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[De
     Never raises a score; the top-scoring input always survives unchanged.
     Output is sorted by final score descending (deterministic tie-break).
     """
-    table = _gated_table([(1.0, dets)], UNBOUNDED_RANGE)
-    return _detections(_suppress(table, cfg or SoftNmsConfig()))
+    _, kept = _FusionIndex([(1.0, dets)], UNBOUNDED_RANGE, cfg).probe(UNBOUNDED_RANGE, None)
+    return _detections(kept)
 
 
 def fuse_multiscale(
@@ -151,5 +166,5 @@ def fuse_multiscale(
     """
     if top_k is not None and (not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1):
         raise ValueError(f"top_k must be None or an integer >= 1, got {top_k!r}")
-    table = _gated_table(per_resolution, scale_range)
-    return _detections(_suppress(table, cfg or SoftNmsConfig())[:top_k])
+    _, fused = _FusionIndex(per_resolution, scale_range, cfg).probe(scale_range, top_k)
+    return _detections(fused)

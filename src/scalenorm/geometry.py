@@ -136,6 +136,20 @@ def project_box(box: BBox, factor: float) -> BBox:
     return BBox(box.x * factor, box.y * factor, box.w * factor, box.h * factor)
 
 
+UNBOUNDED_RANGE = ScaleRange(0.0, math.inf)
+
+# Columns of a detection table, the one box representation of fusion and evaluation.
+_X, _Y, _W, _H, _SCORE, _CATEGORY, _RESOLUTION, _IMAGE = range(8)
+
+
+def _detection_table(dets: list[Detection]) -> np.ndarray:
+    """(N, 8) float rows, one per detection, in the column order above."""
+    return np.array([
+        (d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.category_id,
+         d.resolution_index, d.image_id) for d in dets
+    ]).reshape(-1, 8)
+
+
 def to_corners(xywh: np.ndarray) -> np.ndarray:
     """(N, 4) rows (x, y, w, h) as corner rows (x1, y1, x2, y2), x2 = x + w."""
     return np.hstack((xywh[:, :2], xywh[:, :2] + xywh[:, 2:4]))

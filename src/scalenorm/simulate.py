@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .dataio import Dataset, ImageInfo
-from .evaluation import EvalConfig, EvalResult, evaluate
+from .evaluation import EvalConfig, EvalResult, _DetectionRows, _ground_truth, _score, evaluate
 # benchmark/spans.py traces gate_predictions and soft_nms under this module's names.
 from .fusion import SoftNmsConfig, UNBOUNDED_RANGE, fuse_multiscale, gate_predictions, soft_nms
+from .fusion import _FusionIndex
 from .geometry import (
+    _SCORE,
     BBox,
     Detection,
     Instance,
@@ -238,19 +241,49 @@ def strategy_detections(
             )
 
     gate = scale_range if strategy == "isn" else UNBOUNDED_RANGE
-    grouped_all = [(factor, _group_by_image(dets)) for factor, dets in per_resolution]
-    fused = []
-    for img in image_ids:
-        stack = [(factor, grouped.get(img, [])) for factor, grouped in grouped_all]
-        fused.extend(fuse_multiscale(stack, gate, nms_cfg, top_k))
-    return fused
+    stacks = _image_stacks(per_resolution, image_ids)
+    return [d for stack in stacks for d in fuse_multiscale(stack, gate, nms_cfg, top_k)]
 
 
-def _group_by_image(dets: list[Detection]) -> dict[int, list[Detection]]:
-    grouped: dict[int, list[Detection]] = {}
-    for d in dets:
-        grouped.setdefault(d.image_id, []).append(d)
-    return grouped
+def isn_range_evaluator(
+    dataset: Dataset,
+    per_resolution: list[tuple[float, list[Detection]]],
+    hull: ScaleRange,
+    nms_cfg: SoftNmsConfig,
+    top_k: int | None,
+    eval_cfg: EvalConfig,
+) -> Callable[[ScaleRange], EvalResult]:
+    """The `evaluate` result of ISN fusion at any range inside `hull`. The
+    ground truth, each image's fusion index and its rows' IoU with the ground
+    truth are prepared once; a probe hands its fused rows straight to
+    evaluation."""
+    gt_images, gt_units = _ground_truth(dataset.instances, eval_cfg)
+    indexes = []
+    for stack in _image_stacks(per_resolution, sorted(img.id for img in dataset.images)):
+        index = _FusionIndex(stack, hull, nms_cfg)
+        indexes.append((index, _DetectionRows(index.table, gt_images, eval_cfg)))
+    vocab = dataset.category_ids()
+
+    def probe(rng: ScaleRange) -> EvalResult:
+        det_units: dict = {}
+        for index, rows in indexes:
+            ids, fused = index.probe(rng, top_k)
+            det_units.update(rows.units(ids, fused[:, _SCORE], eval_cfg))
+        return _score(gt_units, det_units, vocab, eval_cfg)
+
+    return probe
+
+
+def _image_stacks(
+    per_resolution: list[tuple[float, list[Detection]]], image_ids: list[int]
+) -> list[list[tuple[float, list[Detection]]]]:
+    """Per image of `image_ids`, its [(factor, detections), ...] stack."""
+    stacks = {img: [(factor, []) for factor, _ in per_resolution] for img in image_ids}
+    for k, (_, dets) in enumerate(per_resolution):
+        for d in dets:
+            if d.image_id in stacks:
+                stacks[d.image_id][k][1].append(d)
+    return [stacks[img] for img in image_ids]
 
 
 def run_experiment(

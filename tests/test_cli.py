@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from scalenorm import cli
 from scalenorm.cli import main
 from scalenorm.dataio import write_json
 
@@ -36,6 +37,7 @@ FUSE = ["fuse", "--dets", "BAD", "--out", "OUT"]
 EVAL = ["eval", "--annotations", "ANN", "--dets", "BAD", "--out", "OUT"]
 SNIP_PARTITION = ["partition", "--annotations", "ANN", "--policy", "snip", "--snip-table", "BAD",
                   "--out", "OUT"]
+ISN_PARTITION = ["partition", "--annotations", "ANN", "--snip-table", "BAD", "--out", "OUT"]
 ANALYZE_SNIP = ["analyze-snip", "--annotations", "ANN", "--snip-table", "BAD", "--out", "OUT"]
 SEARCH = ["search", "--table", "BAD", "--out", "OUT"]
 SIMULATE = ["simulate", "--images", "2", "--out", "OUT", "--out-dets", "OUT2"]
@@ -90,6 +92,17 @@ BAD_INPUTS = [
                  "lookup entry #0: ap must be a finite number, got '38'", id="numeric-string-ap"),
     pytest.param(SEARCH, [{"range": [0, 640], "ap": "x"}],
                  "lookup entry #0: ap must be a finite number, got 'x'", id="string-ap"),
+    pytest.param(SEARCH, [{"range": [0, 640], "ap": 37.4, "ap50": "x"}],
+                 "lookup entry #0: ap50 must be a finite number, got 'x'", id="string-ap50"),
+    pytest.param(SEARCH, [{"range": [0, 640], "ap": 37.4, "ap50": "0.5"}],
+                 "lookup entry #0: ap50 must be a finite number, got '0.5'",
+                 id="numeric-string-ap50"),
+    pytest.param(SEARCH, [{"range": [0, 640], "ap": 37.4, "per_category": {"a": 1}}],
+                 "lookup entry #0: per_category must map category ids to finite numbers, "
+                 "got {'a': 1}", id="non-id-per-category-key"),
+    pytest.param(ISN_PARTITION, [dict(SNIP_ENTRY, resolution=[0, 0])],
+                 "table entry #0: resolution must be at least 1x1, got 0x0",
+                 id="isn-partition-reads-table"),
     pytest.param(SIMULATE + ["--crowd-fraction", "nan"], None,
                  "crowd_fraction must lie in [0, 1], got nan", id="nan-crowd-fraction"),
     pytest.param(SIMULATE + ["--crowd-fraction", "2"], None,
@@ -407,6 +420,19 @@ class TestErrorSurface:
         assert run_cli(*(paths.get(a, a) for a in argv)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_cached_parser_keeps_no_override(self, tmp_path):
+        """The parser is built once per process; a `--set` given to one call
+        must not reach the next."""
+        dets = tmp_path / "dets.json"
+        write_json(dets, [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
+        outs = [tmp_path / f"fused_{i}.json" for i in range(3)]
+        cli._build_parser.cache_clear()
+        assert run_cli("fuse", "--dets", dets, "--out", outs[0]) == 0
+        assert run_cli("fuse", "--dets", dets, "--set", "soft_nms.sigma=0.7", "--out", outs[1]) == 0
+        assert run_cli("fuse", "--dets", dets, "--out", outs[2]) == 0
+        assert outs[1].read_bytes() != outs[0].read_bytes()
+        assert outs[2].read_bytes() == outs[0].read_bytes()
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -102,6 +102,18 @@ class TestIgnoreHandling:
         result = evaluate([gt], [detection_for(gt, 0.5), stray], cfg)
         assert result.ap == 1.0
 
+    def test_out_of_restriction_detection_does_not_use_up_max_dets(self):
+        # The stray outranks the match but is discarded before the cut.
+        gt = make_instance(100.0)
+        stray = Detection(BBox(300, 300, 8, 8), 1, 0.99, 1)
+        window = ScaleRange(16.0, 560.0)
+        dets = [stray, detection_for(gt, 0.5)]
+        cfg = EvalConfig(max_dets=1)
+        assert evaluate([gt], dets, replace(cfg, scale_restriction=window)).ap == 1.0
+        unrestricted, restricted = ap_by_scale_report([gt], dets, cfg, window)
+        assert (unrestricted.ap, restricted.ap) == (0.0, 1.0)
+        assert_matches_reference([gt], dets, replace(cfg, scale_restriction=window))
+
     def test_single_bucket_sentinels(self):
         small_gt = make_instance(10.0)  # area 100 < 32^2
         result = evaluate([small_gt], [detection_for(small_gt, 0.9)])

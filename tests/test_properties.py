@@ -1,4 +1,4 @@
-"""Hypothesis properties of fusion and range search.
+"""Hypothesis properties of fusion, range search and the search's probe path.
 
 Every property runs derandomized, so a failure reproduces on every run.
 Boxes sit on a coarse grid and scores come from a short list, so exact ties
@@ -14,15 +14,24 @@ from scalenorm import (
     ApOracle,
     BBox,
     Detection,
+    DetectorProfile,
+    EvalConfig,
+    PyramidSpec,
     ScaleRange,
     SearchSpace,
     SoftNmsConfig,
     UNBOUNDED_RANGE,
+    evaluate,
     fuse_multiscale,
+    generate_dataset,
     greedy_range_search,
+    simulate_detections,
     soft_nms,
+    strategy_detections,
 )
 from scalenorm.evaluation import EvalResult
+from scalenorm.fusion import _FusionIndex, _detections
+from scalenorm.simulate import isn_range_evaluator
 
 FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25, 3.0)
 SCORES = (0.9, 0.7, 0.5, 0.3, 0.05)
@@ -38,6 +47,11 @@ nms_configs = st.builds(
 ranges = st.sampled_from(
     (UNBOUNDED_RANGE, ScaleRange(16.0, 560.0), ScaleRange(8.0, 40.0), ScaleRange(0.0, 24.0))
 )
+# Any range on a grid of bounds that boxes of the strategies below hit exactly.
+grid_ranges = st.tuples(
+    st.sampled_from((0.0, 4.0, 8.0, 16.0, 24.0, 32.0)),
+    st.sampled_from((12.0, 24.0, 40.0, 96.0, 560.0, float("inf"))),
+).filter(lambda pair: pair[0] < pair[1]).map(lambda pair: ScaleRange(*pair))
 
 
 @st.composite
@@ -86,6 +100,21 @@ class TestFusionProperties:
             assert kept[0].score == top
             assert any(d == kept[0] for d in dets)
 
+    @PROPERTY
+    @given(
+        stacks(),
+        st.lists(grid_ranges, min_size=1, max_size=4),
+        nms_configs,
+        st.sampled_from((None, 1, 3, 100)),
+    )
+    def test_probing_one_index_equals_fusing(self, stack, windows, cfg, top_k):
+        hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
+        index = _FusionIndex(stack, hull, cfg)
+        for window in windows:
+            rows, fused = index.probe(window, top_k)
+            assert (index.table[rows, :4] == fused[:, :4]).all()
+            assert _detections(fused) == fuse_multiscale(stack, window, cfg, top_k)
+
 
 @st.composite
 def searches(draw):
@@ -124,3 +153,29 @@ class TestSearchProperties:
         for i, (lower, upper) in enumerate(probes):
             later = probes[i + 1:] + [(best.lower, best.upper)]
             assert all(u <= upper for _, u in later) or all(lo >= lower for lo, _ in later)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 3),
+        st.sampled_from((0.0, 0.3)),
+        nms_configs,
+        st.sampled_from((2, 5, 100)),
+        st.sampled_from((1, 3, 100)),
+        st.sampled_from((None, ScaleRange(16.0, 560.0), ScaleRange(8.0, 64.0))),
+        st.lists(grid_ranges, min_size=1, max_size=3),
+    )
+    def test_search_probe_equals_evaluating_fused_records(
+        self, seed, images, crowd, nms, top_k, max_dets, restriction, windows
+    ):
+        dataset = generate_dataset(images, seed, crowd_fraction=crowd)
+        cfg = EvalConfig(max_dets=max_dets, scale_restriction=restriction)
+        profile = DetectorProfile(seed=seed)
+        per_resolution = simulate_detections(dataset, PyramidSpec((3.0, 1.0, 0.5)), profile)
+        image_ids = sorted(img.id for img in dataset.images)
+        hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
+        probe = isn_range_evaluator(dataset, per_resolution, hull, nms, top_k, cfg)
+        for window in windows:
+            fused = strategy_detections(per_resolution, image_ids, window, "isn", nms, top_k)
+            want = evaluate(dataset.instances, fused, cfg, dataset.category_ids())
+            assert probe(window) == want

@@ -105,7 +105,7 @@ class _FusionIndex:
         return blocks if len(t) else []
 
     def probe(self, scale_range: ScaleRange, top_k: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Soft-NMS over the rows whose scale is in `scale_range`: the
+        """Soft-NMS over the rows whose scale is in `scale_range`: the top `top_k`
         survivors' row ids and rows, with final scores, in candidate order."""
         inside = (scale_range.lower <= self.scale) & (self.scale <= scale_range.upper)
         kept, final = [np.empty(0, dtype=np.intp)], [np.empty(0)]

@@ -1,10 +1,13 @@
 """Golden digests of the CLI pipeline's artifacts.
 
 The sha256 of every file written by the pipeline below (seed 17, 40 images)
-is pinned in `golden_digests.json`, together with the unrestricted `eval`
-(JSON and CSV), a restricted `eval` on a dataset with 20% crowd regions, and
-the `search --simulate` result on 8 images (once with the defaults, once with
-a scale restriction, `max_dets` below `fusion_top_k` and hard suppression), both `partition` policies (the
+is pinned in `golden_digests.json`, together with a `fuse --top-k 3` run
+whose cut binds on every image, the unrestricted `eval` (JSON and CSV), a
+restricted `eval` on a dataset with 20% crowd regions, and the
+`search --simulate` result on 8 images (once with the defaults, once with a
+scale restriction, `max_dets` below `fusion_top_k` and hard suppression, and
+once with a scale restriction and `max_dets=2`, a cut that binds), both
+`partition` policies (the
 SNIP one on its default table), `analyze-snip` (JSON and CSV), the
 `stage-hist` JSON and `search --table` on the README's lookup table. A
 refactor that claims to preserve behaviour must leave every digest unchanged;
@@ -36,6 +39,7 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         "detections.json": dets,
         "fused.json": workdir / "fused.json",
         "fused_naive.json": workdir / "fused_naive.json",
+        "fused_top3.json": workdir / "fused_top3.json",
         "metrics.json": workdir / "metrics.json",
         "hist.csv": workdir / "hist.csv",
         "metrics_unrestricted.json": workdir / "metrics_unrestricted.json",
@@ -43,6 +47,7 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         "crowd_metrics.json": workdir / "crowd_metrics.json",
         "search.json": workdir / "search.json",
         "search_restricted.json": workdir / "search_restricted.json",
+        "search_max_dets.json": workdir / "search_max_dets.json",
         "partition_isn.json": workdir / "partition_isn.json",
         "partition_snip.json": workdir / "partition_snip.json",
         "analyze_snip.json": workdir / "analyze_snip.json",
@@ -59,6 +64,7 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         ["simulate", "--images", "40", "--seed", "17", "--out", ann, "--out-dets", dets],
         ["fuse", "--dets", dets, "--out", paths["fused.json"]],
         ["fuse", "--dets", dets, "--naive", "--out", paths["fused_naive.json"]],
+        ["fuse", "--dets", dets, "--top-k", "3", "--out", paths["fused_top3.json"]],
         ["eval", "--annotations", ann, "--dets", paths["fused.json"],
          "--scale-range", "16,560", "--out", paths["metrics.json"]],
         ["stage-hist", "--annotations", ann, "--out", paths["hist.csv"],
@@ -75,6 +81,9 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
          "--set", "eval.scale_restriction=[16,560]", "--set", "eval.max_dets=10",
          "--set", "fusion_top_k=5", "--set", "soft_nms.method=hard",
          "--out", paths["search_restricted.json"]],
+        ["search", "--simulate", "--images", "8", "--seed", "17",
+         "--set", "eval.scale_restriction=[16,560]", "--set", "eval.max_dets=2",
+         "--out", paths["search_max_dets.json"]],
         ["partition", "--annotations", ann, "--policy", "isn",
          "--out", paths["partition_isn.json"]],
         ["partition", "--annotations", ann, "--policy", "snip",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -95,13 +96,8 @@ def isn_partition(
     """
     if factor <= 0:
         raise ValueError(f"scaling factor must be positive: {factor!r}")
-    valid, ignored = [], []
-    for inst in instances:
-        if not inst.iscrowd and scale_range.contains(instance_scale(inst.bbox, factor)):
-            valid.append(inst)
-        else:
-            ignored.append(inst)
-    return Partition(valid, ignored, resolution_index)
+    return _split(instances, lambda inst: scale_range.contains(instance_scale(inst.bbox, factor)),
+                  resolution_index)
 
 
 def snip_partition(
@@ -114,12 +110,16 @@ def snip_partition(
             f"({len(table.entries)} entries)"
         )
     entry = table.entries[resolution_index]
+    return _split(instances, lambda inst: entry.admits(instance_scale(inst.bbox)), resolution_index)
+
+
+def _split(
+    instances: list[Instance], admits: Callable[[Instance], bool], resolution_index: int
+) -> Partition:
+    """Valid: the non-crowd instances that `admits` accepts; ignored: the rest."""
     valid, ignored = [], []
     for inst in instances:
-        if not inst.iscrowd and entry.admits(instance_scale(inst.bbox)):
-            valid.append(inst)
-        else:
-            ignored.append(inst)
+        (valid if not inst.iscrowd and admits(inst) else ignored).append(inst)
     return Partition(valid, ignored, resolution_index)
 
 

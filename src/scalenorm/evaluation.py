@@ -172,7 +172,7 @@ class _DetectionRows:
         """Per (image, category): (scores, buckets, [(detection, best IoU,
         candidates), ...]) of `rows`, ranked within each unit, scored `scores`."""
         restrict = cfg.scale_restriction or UNBOUNDED_RANGE
-        keep = ((restrict.lower <= self.scale) & (self.scale <= restrict.upper)).tolist()
+        keep = restrict.contains(self.scale).tolist()
         units: dict[tuple[int, int], tuple[list, list, list]] = {}
         for r, score in zip(rows.tolist(), scores.tolist()):
             if not keep[r]:

@@ -4,21 +4,21 @@ Predictions from each pyramid resolution are filtered by the shared scale
 range (measured in the resized image where the detector produced them),
 projected back to original-image coordinates by multiplying by 1 / factor
 (as `project_box` does; dividing rounds differently), pooled, and
-de-duplicated with Soft-NMS per category. Everything is deterministic:
-candidates are processed in the total order (score desc, resolution_index
-asc, box x, y, w, h, category), exact ties in input order.
+de-duplicated with Soft-NMS per image and category; `top_k` cuts each image.
+Candidates are processed in the total order (image id asc, score desc,
+resolution_index asc, box x, y, w, h, category), exact ties in input order.
 
-An image's detections form a fusion index: one table with a row per
-detection inside the widest range that will be probed, projected, with each
-row's pre-projection scale, the candidate order (one lexsort) and each
-category's matrix of decay factors. A probe masks the rows by its range and
-runs the greedy loop with only those rows active, so a pick costs one masked
-argmax, one row multiply and one floor test. Soft-NMS changes only scores,
-a subset of a stable sort is still sorted and a submatrix of an elementwise
-kernel has the same bits, so a probe equals fusing its rows alone. The
-public functions build an index over their own range and probe it once;
-range search probes one index per image many times. `Detection` records are
-built only for the output.
+The detections of any number of images form a fusion index: one table with a
+row per detection inside the widest range that will be probed, projected,
+with each row's pre-projection scale, the candidate order (one lexsort) and
+each (image, category) block's matrix of decay factors. A probe masks the
+rows by its range and runs the greedy loop with only those rows active, so a
+pick costs one masked argmax, one row multiply and one floor test. Soft-NMS
+changes only scores, a subset of a stable sort is still sorted and a
+submatrix of an elementwise kernel has the same bits, so a probe equals
+fusing its rows alone. The public functions build an index over their own
+range and probe it once; range search probes one index over the whole
+dataset. `Detection` records are built only for the output.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (
-    _CATEGORY, _H, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, BBox, Detection, ScaleRange,
-    _detection_table, iou_matrix, to_corners,
+    _CATEGORY, _H, _IMAGE, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, BBox, Detection,
+    ScaleRange, _detection_table, iou_matrix, to_corners,
 )
 
 
@@ -58,7 +58,8 @@ class SoftNmsConfig:
 
 def _order_keys(t: np.ndarray) -> tuple[np.ndarray, ...]:
     # The candidate order as np.lexsort keys, which sorts by its last key first.
-    return t[:, _CATEGORY], t[:, _H], t[:, _W], t[:, _Y], t[:, _X], t[:, _RESOLUTION], -t[:, _SCORE]
+    return (t[:, _CATEGORY], t[:, _H], t[:, _W], t[:, _Y], t[:, _X], t[:, _RESOLUTION],
+            -t[:, _SCORE], t[:, _IMAGE])
 
 
 def _decay_factors(overlaps: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
@@ -70,8 +71,8 @@ def _decay_factors(overlaps: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
 
 
 class _FusionIndex:
-    """One image's detections of every resolution inside `hull`, projected,
-    in input order, with each row's pre-projection scale; probed by range."""
+    """Detections of every resolution inside `hull`, projected, in input
+    order, with each row's pre-projection scale; probed by range."""
 
     def __init__(
         self,
@@ -85,7 +86,7 @@ class _FusionIndex:
                 raise ValueError(f"scaling factor must be positive: {factor!r}")
             table = _detection_table(dets)
             scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
-            inside = (hull.lower <= scale) & (scale <= hull.upper)
+            inside = hull.contains(scale)
             table = table[inside]
             table[:, :4] *= 1.0 / factor
             tables.append(table)
@@ -95,19 +96,20 @@ class _FusionIndex:
 
     @cached_property  # not needed by gate_predictions
     def _blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        # (row ids in candidate order, their decay matrix) per category.
+        # (row ids in candidate order, their decay matrix) per (image, category).
         t = self.table
         order = np.lexsort(_order_keys(t) + (t[:, _CATEGORY],))
+        edges = np.diff(t[:, [_IMAGE, _CATEGORY]][order], axis=0).any(axis=1)
         blocks = []
-        for rows in np.split(order, np.flatnonzero(np.diff(t[order, _CATEGORY])) + 1):
+        for rows in np.split(order, np.flatnonzero(edges) + 1):
             corners = to_corners(t[rows, :4])
             blocks.append((rows, _decay_factors(iou_matrix(corners, corners), self.cfg)))
         return blocks if len(t) else []
 
     def probe(self, scale_range: ScaleRange, top_k: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Soft-NMS over the rows whose scale is in `scale_range`: the top `top_k`
-        survivors' row ids and rows, with final scores, in candidate order."""
-        inside = (scale_range.lower <= self.scale) & (self.scale <= scale_range.upper)
+        """Soft-NMS over the rows whose scale is in `scale_range`: row ids and
+        rows, final scores, of each image's top `top_k` survivors in candidate order."""
+        inside = scale_range.contains(self.scale)
         kept, final = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for rows, decay in self._blocks:
             scores = self.table[rows, _SCORE]
@@ -123,7 +125,10 @@ class _FusionIndex:
         rows, scores = np.concatenate(kept), np.concatenate(final)
         picked = self.table[rows]
         picked[:, _SCORE] = scores
-        order = np.lexsort(_order_keys(picked))[:top_k]
+        order = np.lexsort(_order_keys(picked))
+        if top_k is not None:  # each image's rows are contiguous; keep its first top_k
+            images = picked[order, _IMAGE]
+            order = order[np.arange(len(order)) - np.searchsorted(images, images) < top_k]
         return rows[order], picked[order]
 
 
@@ -143,10 +148,10 @@ def gate_predictions(
 
 
 def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[Detection]:
-    """Greedy score-decay suppression, run independently per category.
+    """Greedy score-decay suppression, run independently per image and category.
 
     Never raises a score; the top-scoring input always survives unchanged.
-    Output is sorted by final score descending (deterministic tie-break).
+    Output is sorted by image, then final score descending (deterministic tie-break).
     """
     _, kept = _FusionIndex([(1.0, dets)], UNBOUNDED_RANGE, cfg).probe(UNBOUNDED_RANGE, None)
     return _detections(kept)
@@ -161,8 +166,8 @@ def fuse_multiscale(
     """Gate each resolution's detections, pool them, and suppress duplicates.
 
     The pooled list is sorted deterministically before suppression, so the
-    result does not depend on the order resolutions are supplied in. When
-    `top_k` is set, only the top-scoring detections survive.
+    result does not depend on the order resolutions are supplied in. Each
+    image is fused on its own and keeps its top `top_k` (None: all) survivors.
     """
     if top_k is not None and (not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1):
         raise ValueError(f"top_k must be None or an integer >= 1, got {top_k!r}")

@@ -85,8 +85,8 @@ class ScaleRange:
         if self.lower < 0 or not self.lower < self.upper:
             raise ValueError(f"invalid scale range [{self.lower!r}, {self.upper!r}]")
 
-    def contains(self, scale: float) -> bool:
-        return self.lower <= scale <= self.upper
+    def contains(self, scale: float | np.ndarray) -> bool | np.ndarray:
+        return (self.lower <= scale) & (scale <= self.upper)
 
     def to_pair(self) -> list[float | None]:
         """JSON-friendly form; an unbounded upper end becomes None."""

@@ -210,6 +210,30 @@ class TestFuseMultiscale:
         assert isn == naive
 
 
+class TestPerImageFusion:
+    """Several images in one call: each is fused on its own, in image id order."""
+
+    # The same box and category on images 2 and 1, image 2 listed first and
+    # scored higher; three detections each, above a top_k of 2.
+    DETS = [
+        Detection(BBox(10.0, 10.0, 40.0, 40.0), 1, score - shift, image, 0)
+        for image, shift in ((2, 0.0), (1, 0.05)) for score in (0.9, 0.8, 0.7)
+    ]
+
+    def per_image(self, fn):
+        return [d for image in (1, 2) for d in fn([d for d in self.DETS if d.image_id == image])]
+
+    def test_fuse_multiscale_fuses_and_cuts_each_image_on_its_own(self):
+        fused = fuse_multiscale([(1.0, self.DETS)], RANGE, top_k=2)
+        assert fused == self.per_image(lambda dets: fuse_multiscale([(1.0, dets)], RANGE, top_k=2))
+        assert [d.image_id for d in fused] == [1, 1, 2, 2]
+
+    def test_soft_nms_suppresses_within_each_image_only(self):
+        kept = soft_nms(self.DETS)
+        assert kept == self.per_image(soft_nms)
+        assert kept[0] == self.DETS[3]  # image 1's top, not decayed by image 2's
+
+
 class TestSoftNmsConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,15 @@ class TestValueTypes:
         assert rng.contains(16.0) and rng.contains(560.0)
         assert not rng.contains(15.999) and not rng.contains(560.001)
 
+    def test_scale_range_contains_arrays_elementwise(self):
+        scales = [0.0, 15.999, 16.0, 100.0, 560.0, 560.001, math.inf]
+        for rng in (ScaleRange(16.0, 560.0), ScaleRange(0.0, math.inf)):
+            assert rng.contains(np.array(scales)).tolist() == [rng.contains(s) for s in scales]
+        assert ScaleRange(16.0, 560.0).contains(np.array(scales)).tolist() == [
+            False, False, True, True, True, False, False,
+        ]
+        assert ScaleRange(0.0, math.inf).contains(np.array(scales)).all()
+
     def test_pyramid_validation(self):
         PyramidSpec((4.0, 2.0, 1.0, 0.5, 0.25))
         with pytest.raises(ValueError):

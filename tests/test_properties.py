@@ -80,6 +80,21 @@ def stacks(draw, image_id=1):
     ]
 
 
+@st.composite
+def image_stacks(draw):
+    """Up to three images' detections at up to three shared pyramid factors,
+    the images' detections interleaved within each resolution."""
+    factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3, unique=True))
+    images = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
+    return images, [
+        (factor, draw(st.permutations([
+            d for image in images
+            for d in draw(detections(resolution_index=index, image_id=image, max_size=8))
+        ])))
+        for index, factor in enumerate(factors)
+    ]
+
+
 class TestFusionProperties:
     @PROPERTY
     @given(stacks(), ranges, nms_configs, st.randoms(use_true_random=False))
@@ -114,6 +129,26 @@ class TestFusionProperties:
             rows, fused = index.probe(window, top_k)
             assert (index.table[rows, :4] == fused[:, :4]).all()
             assert _detections(fused) == fuse_multiscale(stack, window, cfg, top_k)
+
+    @PROPERTY
+    @given(
+        image_stacks(),
+        st.lists(grid_ranges, min_size=1, max_size=3),
+        nms_configs,
+        st.sampled_from((None, 1, 3, 100)),
+    )
+    def test_probing_a_multi_image_index_fuses_each_image(self, case, windows, cfg, top_k):
+        images, stack = case
+        hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
+        index = _FusionIndex(stack, hull, cfg)
+        for window in windows:
+            _, fused = index.probe(window, top_k)
+            assert _detections(fused) == [
+                d for image in sorted(images) for d in fuse_multiscale(
+                    [(f, [e for e in dets if e.image_id == image]) for f, dets in stack],
+                    window, cfg, top_k,
+                )
+            ]
 
 
 @st.composite

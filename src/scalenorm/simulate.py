@@ -155,16 +155,23 @@ def _spurious_detections(
     rh, rw = resize_plan(img.height, img.width, factor)
     dets = []
     for _ in range(count):
-        scale = math.exp(float(rng.uniform(math.log(8.0), math.log(max(16.0, 0.5 * min(rh, rw))))))
-        ratio = math.exp(float(rng.uniform(math.log(0.5), math.log(2.0))))
-        w = scale * math.sqrt(ratio)
-        h = scale / math.sqrt(ratio)
-        x = float(rng.uniform(0.0, max(1e-6, rw - w)))
-        y = float(rng.uniform(0.0, max(1e-6, rh - h)))
+        box = _random_box(rng, 8.0, max(16.0, 0.5 * min(rh, rw)), rh, rw)
         score = _clip01(float(rng.normal(profile.fp_score_mean, profile.fp_score_std)))
         cat = cat_ids[int(rng.integers(len(cat_ids)))]
-        dets.append(Detection(BBox(x, y, w, h), cat, score, img.id, index))
+        dets.append(Detection(box, cat, score, img.id, index))
     return dets
+
+
+def _random_box(rng: np.random.Generator, low: float, high: float, height: int, width: int) -> BBox:
+    """Log-uniform scale in [low, high] and aspect in [1/2, 2], uniform
+    position inside a `height` x `width` image (drawn in that order)."""
+    scale = math.exp(float(rng.uniform(math.log(low), math.log(high))))
+    ratio = math.exp(float(rng.uniform(math.log(0.5), math.log(2.0))))
+    w = scale * math.sqrt(ratio)
+    h = scale / math.sqrt(ratio)
+    x = float(rng.uniform(0.0, max(1e-6, width - w)))
+    y = float(rng.uniform(0.0, max(1e-6, height - h)))
+    return BBox(x, y, w, h)
 
 
 def generate_dataset(
@@ -196,15 +203,9 @@ def generate_dataset(
         images.append(ImageInfo(img_id, image_height, image_width))
         count = int(rng.integers(min_instances, max_instances + 1))
         for _ in range(count):
-            scale = math.exp(float(rng.uniform(math.log(scale_low), math.log(scale_high))))
-            ratio = math.exp(float(rng.uniform(math.log(0.5), math.log(2.0))))
-            w = scale * math.sqrt(ratio)
-            h = scale / math.sqrt(ratio)
-            x = float(rng.uniform(0.0, max(1e-6, image_width - w)))
-            y = float(rng.uniform(0.0, max(1e-6, image_height - h)))
             instances.append(
                 Instance(
-                    bbox=BBox(x, y, w, h),
+                    bbox=_random_box(rng, scale_low, scale_high, image_height, image_width),
                     category_id=int(rng.integers(1, num_categories + 1)),
                     iscrowd=bool(rng.random() < crowd_fraction),
                     id=next_id,
@@ -227,7 +228,8 @@ def strategy_detections(
     top_k: int | None = 100,
     single_scale_factor: float = 1.0,
 ) -> list[Detection]:
-    """Apply a test-time strategy to simulator output, image by image."""
+    """Apply a test-time strategy to the detections of `image_ids`, fusing
+    each image on its own; the output is in image id order."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     nms_cfg = nms_cfg or SoftNmsConfig()
@@ -241,8 +243,9 @@ def strategy_detections(
             )
 
     gate = scale_range if strategy == "isn" else UNBOUNDED_RANGE
-    stacks = _image_stacks(per_resolution, image_ids)
-    return [d for stack in stacks for d in fuse_multiscale(stack, gate, nms_cfg, top_k)]
+    given = set(image_ids)
+    per_resolution = [(f, [d for d in dets if d.image_id in given]) for f, dets in per_resolution]
+    return fuse_multiscale(per_resolution, gate, nms_cfg, top_k)
 
 
 def isn_range_evaluator(
@@ -254,36 +257,21 @@ def isn_range_evaluator(
     eval_cfg: EvalConfig,
 ) -> Callable[[ScaleRange], EvalResult]:
     """The `evaluate` result of ISN fusion at any range inside `hull`. The
-    ground truth, each image's fusion index and its rows' IoU with the ground
-    truth are prepared once; a probe hands its fused rows straight to
-    evaluation."""
+    ground truth, the fusion index of the dataset's detections and its rows'
+    IoU with the ground truth are prepared once; a probe hands its fused rows
+    straight to evaluation."""
     gt_images, gt_units = _ground_truth(dataset.instances, eval_cfg)
-    indexes = []
-    for stack in _image_stacks(per_resolution, sorted(img.id for img in dataset.images)):
-        index = _FusionIndex(stack, hull, nms_cfg)
-        indexes.append((index, _DetectionRows(index.table, gt_images, eval_cfg)))
+    given = {img.id for img in dataset.images}
+    per_resolution = [(f, [d for d in dets if d.image_id in given]) for f, dets in per_resolution]
+    index = _FusionIndex(per_resolution, hull, nms_cfg)
+    rows = _DetectionRows(index.table, gt_images, eval_cfg)
     vocab = dataset.category_ids()
 
     def probe(rng: ScaleRange) -> EvalResult:
-        det_units: dict = {}
-        for index, rows in indexes:
-            ids, fused = index.probe(rng, top_k)
-            det_units.update(rows.units(ids, fused[:, _SCORE], eval_cfg))
-        return _score(gt_units, det_units, vocab, eval_cfg)
+        ids, fused = index.probe(rng, top_k)
+        return _score(gt_units, rows.units(ids, fused[:, _SCORE], eval_cfg), vocab, eval_cfg)
 
     return probe
-
-
-def _image_stacks(
-    per_resolution: list[tuple[float, list[Detection]]], image_ids: list[int]
-) -> list[list[tuple[float, list[Detection]]]]:
-    """Per image of `image_ids`, its [(factor, detections), ...] stack."""
-    stacks = {img: [(factor, []) for factor, _ in per_resolution] for img in image_ids}
-    for k, (_, dets) in enumerate(per_resolution):
-        for d in dets:
-            if d.image_id in stacks:
-                stacks[d.image_id][k][1].append(d)
-    return [stacks[img] for img in image_ids]
 
 
 def run_experiment(

@@ -2,17 +2,16 @@
 
 The sha256 of every file written by the pipeline below (seed 17, 40 images)
 is pinned in `golden_digests.json`, together with a `fuse --top-k 3` run
-whose cut binds on every image, the unrestricted `eval` (JSON and CSV), a
-restricted `eval` on a dataset with 20% crowd regions, and the
+whose cut binds on 39 of the 40 images, the unrestricted `eval` (JSON and
+CSV), a restricted `eval` on a dataset with 20% crowd regions, and the
 `search --simulate` result on 8 images (once with the defaults, once with a
 scale restriction, `max_dets` below `fusion_top_k` and hard suppression, and
 once with a scale restriction and `max_dets=2`, a cut that binds), both
-`partition` policies (the
-SNIP one on its default table), `analyze-snip` (JSON and CSV), the
-`stage-hist` JSON and `search --table` on the README's lookup table. A
-refactor that claims to preserve behaviour must leave every digest unchanged;
-a change that alters an output on purpose regenerates the file and says which
-artifact changed and why.
+`partition` policies (the SNIP one on its default table), `analyze-snip`
+(JSON and CSV), the `stage-hist` JSON and `search --table` on the README's
+lookup table. A refactor that claims to preserve behaviour must leave every
+digest unchanged; a change that alters an output on purpose regenerates the
+file and says which artifact changed and why.
 
 Regenerate with: PYTHONPATH=src python tests/test_golden.py
 """

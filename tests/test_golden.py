@@ -9,9 +9,12 @@ scale restriction, `max_dets` below `fusion_top_k` and hard suppression, and
 once with a scale restriction and `max_dets=2`, a cut that binds), both
 `partition` policies (the SNIP one on its default table), `analyze-snip`
 (JSON and CSV), the `stage-hist` JSON and `search --table` on the README's
-lookup table. A refactor that claims to preserve behaviour must leave every
-digest unchanged; a change that alters an output on purpose regenerates the
-file and says which artifact changed and why.
+lookup table. The same `partition`, `analyze-snip` and `stage-hist` runs are
+pinned on the 20%-crowd dataset too, which covers the crowd branch of both
+partitions and the crowd exclusion of the scale distributions. A refactor
+that claims to preserve behaviour must leave every digest unchanged; a change
+that alters an output on purpose regenerates the file and says which artifact
+changed and why.
 
 Regenerate with: PYTHONPATH=src python tests/test_golden.py
 """
@@ -53,6 +56,11 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         "analyze_snip.csv": workdir / "analyze_snip.csv",
         "hist.json": workdir / "hist.json",
         "search_table.json": workdir / "search_table.json",
+        "crowd_partition_isn.json": workdir / "crowd_partition_isn.json",
+        "crowd_partition_snip.json": workdir / "crowd_partition_snip.json",
+        "crowd_analyze_snip.json": workdir / "crowd_analyze_snip.json",
+        "crowd_analyze_snip.csv": workdir / "crowd_analyze_snip.csv",
+        "crowd_hist.json": workdir / "crowd_hist.json",
     }
     crowd_ann = workdir / "crowd_annotations.json"
     crowd_dets = workdir / "crowd_detections.json"
@@ -90,6 +98,14 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         ["analyze-snip", "--annotations", ann, "--out", paths["analyze_snip.json"],
          "--csv", paths["analyze_snip.csv"]],
         ["search", "--table", table, "--out", paths["search_table.json"]],
+        ["partition", "--annotations", crowd_ann, "--policy", "isn",
+         "--out", paths["crowd_partition_isn.json"]],
+        ["partition", "--annotations", crowd_ann, "--policy", "snip",
+         "--out", paths["crowd_partition_snip.json"]],
+        ["analyze-snip", "--annotations", crowd_ann, "--out", paths["crowd_analyze_snip.json"],
+         "--csv", paths["crowd_analyze_snip.csv"]],
+        ["stage-hist", "--annotations", crowd_ann, "--out", workdir / "crowd_hist.csv",
+         "--json", paths["crowd_hist.json"]],
     ]
     for argv in commands:
         assert cli_main([str(a) for a in argv]) == 0, argv

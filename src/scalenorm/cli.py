@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from . import dataio
 from .config import AppConfig, apply_override, parse_factors, parse_range
-from .evaluation import EvalResult, ap_by_scale_report, evaluate
+from .evaluation import ap_by_scale_report, evaluate
 from .geometry import ScaleRange
 from .pyramid import stage_histogram
 from .sampling import (
@@ -32,14 +32,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _effective_config(args)
-        return args.handler(args, cfg)
+        args.handler(args, _effective_config(args))
     except BrokenPipeError:
         return 1
     except Exception as exc:  # noqa: BLE001 - single-line reporting contract
         message = str(exc).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)
         return 1
+    return 0
 
 
 # Options several subcommands take, declared once: flag -> add_argument keywords.
@@ -139,20 +139,25 @@ def _effective_config(args: argparse.Namespace) -> AppConfig:
     return cfg
 
 
+def _emit(path: str, cfg: AppConfig, payload: dict) -> None:
+    """Write `payload` as JSON with the effective config echoed under "config"."""
+    dataio.write_json(path, {"config": cfg.to_dict(), **payload})
+
+
 def _snip_table(args: argparse.Namespace):
     if getattr(args, "snip_table", None):
         return dataio.load_snip_table(args.snip_table)
     return DEFAULT_SNIP_TABLE
 
 
-def _cmd_partition(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _cmd_partition(args: argparse.Namespace, cfg: AppConfig) -> None:
     dataset = dataio.load_annotations(args.annotations)
     table = _snip_table(args)  # read and checked under either policy
     # (what names the resolution, its partition) per resolution index
     if args.policy == "isn":
         parts = [
-            ({"scale_factor": f}, isn_partition(dataset.instances, f, cfg.scale_range, i))
-            for i, f in enumerate(cfg.pyramid)
+            ({"scale_factor": f}, isn_partition(dataset.instances, f, cfg.scale_range))
+            for f in cfg.pyramid
         ]
     else:
         parts = [
@@ -170,11 +175,7 @@ def _cmd_partition(args: argparse.Namespace, cfg: AppConfig) -> int:
         }
         for index, (name, part) in enumerate(parts)
     ]
-    dataio.write_json(
-        args.out,
-        {"config": cfg.to_dict(), "policy": args.policy, "partitions": partitions},
-    )
-    return 0
+    _emit(args.out, cfg, {"policy": args.policy, "partitions": partitions})
 
 
 def _histogram_payload(hist) -> dict:
@@ -186,7 +187,7 @@ def _histogram_payload(hist) -> dict:
     }
 
 
-def _cmd_analyze_snip(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _cmd_analyze_snip(args: argparse.Namespace, cfg: AppConfig) -> None:
     dataset = dataio.load_annotations(args.annotations)
     sizes = dataset.image_sizes()
     report = {}
@@ -214,15 +215,14 @@ def _cmd_analyze_snip(args: argparse.Namespace, cfg: AppConfig) -> int:
                     float(ignored.mass[b]),
                 )
             )
-    dataio.write_json(args.out, {"config": cfg.to_dict(), "policies": report})
+    _emit(args.out, cfg, {"policies": report})
     if args.csv:
         dataio.write_csv(
             args.csv, ("policy", "bin_lower", "bin_upper", "trained", "ignored"), rows
         )
-    return 0
 
 
-def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> None:
     records = []
     for path in args.dets:
         records.extend(dataio.load_detection_records(path))
@@ -238,14 +238,12 @@ def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> int:
         cfg.soft_nms,
         cfg.fusion_top_k,
     )
-    dataio.write_json(
-        args.out,
-        {"config": cfg.to_dict(), "detections": dataio.detections_to_records(fused)},
-    )
-    return 0
+    _emit(args.out, cfg, {"detections": dataio.detections_to_records(fused)})
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> None:
+    if args.scale_range and cfg.eval.scale_restriction is not None:
+        raise ValueError("--scale-range conflicts with config key 'eval.scale_restriction'")
     dataset = dataio.load_annotations(args.annotations)
     dets = dataio.load_detections(args.dets)
     known_images = {img.id for img in dataset.images}
@@ -261,7 +259,6 @@ def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> int:
             dataset.instances, dets, cfg.eval, restriction, categories
         )
         payload = {
-            "config": cfg.to_dict(),
             "scale_range": restriction.to_pair(),
             "unrestricted": unrestricted.to_dict(),
             "restricted": restricted.to_dict(),
@@ -271,23 +268,18 @@ def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> int:
         ] + [("restricted/" + c, m, v) for c, m, v in restricted.csv_rows()]
     else:
         result = evaluate(dataset.instances, dets, cfg.eval, categories)
-        payload = {"config": cfg.to_dict(), "metrics": result.to_dict()}
+        payload = {"metrics": result.to_dict()}
         csv_rows = result.csv_rows()
-    dataio.write_json(args.out, payload)
+    _emit(args.out, cfg, payload)
     if args.csv:
         dataio.write_csv(args.csv, ("category", "metric", "value"), csv_rows)
-    return 0
 
 
-def _cmd_search(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _cmd_search(args: argparse.Namespace, cfg: AppConfig) -> None:
     if bool(args.table) == bool(args.simulate):
         raise ValueError("search needs exactly one of --table or --simulate")
     if args.table:
-        table = {
-            key: EvalResult.from_dict(metrics)
-            for key, metrics in dataio.load_oracle_table(args.table).items()
-        }
-        oracle = ApOracle.from_table(table)
+        oracle = ApOracle.from_table(dataio.load_oracle_table(args.table))
     else:
         dataset = generate_dataset(args.images, cfg.seed)
         per_resolution = simulate_detections(dataset, cfg.pyramid, cfg.detector)
@@ -297,20 +289,15 @@ def _cmd_search(args: argparse.Namespace, cfg: AppConfig) -> int:
         ))
     best, trace = greedy_range_search(cfg.search, oracle)
     best_ap = next(ap for rng, ap in trace if (rng.lower, rng.upper) == (best.lower, best.upper))
-    dataio.write_json(
-        args.out,
-        {
-            "config": cfg.to_dict(),
-            "best_range": best.to_pair(),
-            "best_ap": best_ap,
-            "trace": [{"range": rng.to_pair(), "ap": ap} for rng, ap in trace],
-        },
-    )
+    _emit(args.out, cfg, {
+        "best_range": best.to_pair(),
+        "best_ap": best_ap,
+        "trace": [{"range": rng.to_pair(), "ap": ap} for rng, ap in trace],
+    })
     print(f"best range [{best.lower:g}, {best.upper:g}] ap {best_ap:.6g}")
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> None:
     dataset = generate_dataset(
         args.images,
         cfg.seed,
@@ -318,30 +305,18 @@ def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
         crowd_fraction=args.crowd_fraction,
     )
     per_resolution = simulate_detections(dataset, cfg.pyramid, cfg.detector)
-    annotations = dataio.dataset_to_dict(dataset)
-    annotations["config"] = cfg.to_dict()
-    dataio.write_json(args.out, annotations)
+    _emit(args.out, cfg, dataio.dataset_to_dict(dataset))
     records = []
     for factor, dets in per_resolution:
         records.extend(dataio.detections_to_records(dets, factor))
-    dataio.write_json(
-        args.out_dets, {"config": cfg.to_dict(), "detections": records}
-    )
-    return 0
+    _emit(args.out_dets, cfg, {"detections": records})
 
 
-def _cmd_stage_hist(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _cmd_stage_hist(args: argparse.Namespace, cfg: AppConfig) -> None:
     dataset = dataio.load_annotations(args.annotations)
     counts = stage_histogram(dataset.instances, cfg.pyramid, cfg.scale_range, cfg.fpn)
     rows = [(level, counts[level]) for level in sorted(counts)]
     dataio.write_csv(args.out, ("level", "count"), rows)
     if args.json_out:
-        dataio.write_json(
-            args.json_out,
-            {
-                "config": cfg.to_dict(),
-                "histogram": {str(level): counts[level] for level in sorted(counts)},
-            },
-        )
-    return 0
+        _emit(args.json_out, cfg, {"histogram": {str(level): n for level, n in rows}})
 

@@ -20,7 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .evaluation import _HEADLINE
+from .evaluation import _HEADLINE, EvalResult
 from .geometry import BBox, Detection, Instance, ScaleRange
 from .sampling import SnipEntry, SnipRangeTable
 
@@ -261,22 +261,23 @@ def detections_to_records(
     return records
 
 
-def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], dict]:
-    """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}],
-    `EvalResult` fields; `per_category` maps category-id strings to numbers."""
+def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], EvalResult]:
+    """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}] with
+    `EvalResult` fields, an absent one reading -1; `per_category` maps
+    category-id strings to numbers."""
     table = {}
     for i, rec in enumerate(_records(path, "entries", "lookup file")):
         context = f"lookup entry #{i}"
         lower, upper = _pair(rec, "range", float, context, open_end=True)
         _build(context, ScaleRange, lower, upper)
-        _field(rec, "ap", float, context)
-        for name in _HEADLINE[1:]:
-            _field(rec, name, float, context, None)
+        ap = _field(rec, "ap", float, context)
+        rest = {name: _field(rec, name, float, context, -1.0) for name in _HEADLINE[1:]}
         per_category = _field(rec, "per_category", dict, context, {})
         if not all(k.isdecimal() and KINDS[float][1](v) for k, v in per_category.items()):
             raise DataFormatError(f"{context}: per_category must map category ids to "
                                   f"finite numbers, got {per_category!r}")
-        table[(lower, upper)] = {k: v for k, v in rec.items() if k != "range"}
+        per_category = {int(k): float(v) for k, v in per_category.items()}
+        table[(lower, upper)] = EvalResult(ap, **rest, per_category=per_category)
     return table
 
 
@@ -293,12 +294,14 @@ def load_snip_table(path: str | os.PathLike) -> SnipRangeTable:
 
 
 def load_json(path: str | os.PathLike):
-    """Parse a JSON file, wrapping syntax errors in DataFormatError."""
+    """Parse a JSON file, wrapping syntax and encoding errors in DataFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}")
 
 
 def _atomic_write(path: str | os.PathLike, text: str) -> None:

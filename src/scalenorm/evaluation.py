@@ -106,13 +106,6 @@ class EvalResult:
         d["per_category"] = {str(k): v for k, v in sorted(self.per_category.items())}
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalResult":
-        return cls(
-            **{name: float(d.get(name, -1.0)) for name in _HEADLINE},
-            per_category={int(k): float(v) for k, v in d.get("per_category", {}).items()},
-        )
-
     def csv_rows(self) -> list[tuple[str, str, float]]:
         rows = [("all", name, getattr(self, name)) for name in _HEADLINE]
         rows.extend((str(cat), "ap", v) for cat, v in sorted(self.per_category.items()))

@@ -48,8 +48,8 @@ def stage_histogram(
     """
     cfg = cfg or FpnAssignConfig()
     counts = {level: 0 for level in range(cfg.min_level, cfg.max_level + 1)}
-    for index, factor in enumerate(pyramid):
-        part = isn_partition(instances, factor, scale_range, index)
+    for factor in pyramid:
+        part = isn_partition(instances, factor, scale_range)
         for inst in part.valid:
             counts[fpn_level(instance_scale(inst.bbox, factor), cfg)] += 1
     return counts

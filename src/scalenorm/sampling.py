@@ -6,13 +6,17 @@ validity is a pure function of resized scale. The per-resolution table policy
 keeps an instance iff its original-image scale falls inside that resolution's
 own interval, which lets objects of equal resized scale receive different
 labels; `consistency_overlap` quantifies exactly that effect.
+
+Each policy owns its rule: `admits` is the (instance, resolution) mask over
+original-image scales, `factors` the resize factors and `bin_edges` the
+histogram edges. The partitions read one column of `admits`, and
+`resized_scale_distributions` reads all three without knowing the policy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +33,6 @@ class Partition:
 
     valid: list[Instance]
     ignored: list[Instance]
-    resolution_index: int = -1
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,6 @@ class SnipEntry:
         if not self.lower < self.upper:
             raise ValueError(f"invalid valid-range ({self.lower!r}, {self.upper!r})")
 
-    def admits(self, original_scale: float) -> bool:
-        return self.lower < original_scale < self.upper
-
-    def factor_for(self, image_h: int, image_w: int) -> float:
-        if self.factor is not None:
-            return self.factor
-        return min(self.height / image_h, self.width / image_w)
-
 
 @dataclass(frozen=True)
 class SnipRangeTable:
@@ -84,20 +79,78 @@ DEFAULT_SNIP_TABLE = SnipRangeTable(
 )
 
 
-def isn_partition(
-    instances: list[Instance],
-    factor: float,
-    scale_range: ScaleRange,
-    resolution_index: int = -1,
-) -> Partition:
+@dataclass(frozen=True)
+class IsnPolicy:
+    """Train a pair iff its resized scale lies in the one shared `scale_range`."""
+
+    pyramid: PyramidSpec
+    scale_range: ScaleRange
+
+    def admits(self, scales: np.ndarray) -> np.ndarray:
+        """(N, R) mask over N original-image scales and the R pyramid factors."""
+        return self.scale_range.contains(np.multiply.outer(scales, self.pyramid.factors))
+
+    def factors(self, instances: list[Instance], image_sizes=None) -> np.ndarray:
+        """(N, R) resize factors: the pyramid's, for every instance."""
+        return np.tile(self.pyramid.factors, (len(instances), 1))
+
+    def bin_edges(self) -> np.ndarray:
+        # Insert the interval endpoints so no bin straddles the valid/ignored
+        # boundary; the upper cut sits just past the (inclusive) upper end.
+        edges, cuts = default_bin_edges(), []
+        if edges[0] < self.scale_range.lower < edges[-1]:
+            cuts.append(self.scale_range.lower)
+        if edges[0] < self.scale_range.upper < edges[-1]:
+            cuts.append(np.nextafter(self.scale_range.upper, math.inf))
+        return np.unique(np.concatenate([edges, cuts]))
+
+
+@dataclass(frozen=True)
+class SnipPolicy:
+    """Train a pair iff the original-image scale lies in that resolution's interval."""
+
+    table: SnipRangeTable
+
+    def admits(self, scales: np.ndarray) -> np.ndarray:
+        """(N, R) mask over N original-image scales and the R table entries."""
+        lower, upper = np.array([(e.lower, e.upper) for e in self.table.entries]).T
+        scales = scales[:, None]
+        return (lower < scales) & (scales < upper)
+
+    def factors(
+        self, instances: list[Instance], image_sizes: dict[int, tuple[int, int]] | None = None
+    ) -> np.ndarray:
+        """(N, R) resize factors: each entry's own, or derived from the image."""
+        entries = self.table.entries
+        rows = []
+        for inst in instances:
+            size = (image_sizes or {}).get(inst.image_id)
+            if size is None and any(e.factor is None for e in entries):
+                raise ValueError(
+                    f"image size needed to derive resize factor for "
+                    f"instance {inst.id} (image {inst.image_id})"
+                )
+            rows.append([
+                e.factor if e.factor is not None else min(e.height / size[0], e.width / size[1])
+                for e in entries
+            ])
+        return np.array(rows, dtype=np.float64).reshape(len(instances), len(entries))
+
+    def bin_edges(self) -> np.ndarray:
+        return default_bin_edges()
+
+
+def _scales(instances: list[Instance]) -> np.ndarray:
+    return np.array([instance_scale(inst.bbox) for inst in instances], dtype=np.float64)
+
+
+def isn_partition(instances: list[Instance], factor: float, scale_range: ScaleRange) -> Partition:
     """Split instances by whether their resized scale lies in `scale_range`.
 
     Crowd instances always land in the ignored set.
     """
-    if factor <= 0:
-        raise ValueError(f"scaling factor must be positive: {factor!r}")
-    return _split(instances, lambda inst: scale_range.contains(instance_scale(inst.bbox, factor)),
-                  resolution_index)
+    policy = IsnPolicy(PyramidSpec((factor,)), scale_range)  # checks the factor
+    return _split(instances, policy.admits(_scales(instances))[:, 0])
 
 
 def snip_partition(
@@ -109,29 +162,15 @@ def snip_partition(
             f"resolution_index {resolution_index} not in table "
             f"({len(table.entries)} entries)"
         )
-    entry = table.entries[resolution_index]
-    return _split(instances, lambda inst: entry.admits(instance_scale(inst.bbox)), resolution_index)
+    return _split(instances, SnipPolicy(table).admits(_scales(instances))[:, resolution_index])
 
 
-def _split(
-    instances: list[Instance], admits: Callable[[Instance], bool], resolution_index: int
-) -> Partition:
-    """Valid: the non-crowd instances that `admits` accepts; ignored: the rest."""
+def _split(instances: list[Instance], admitted: np.ndarray) -> Partition:
+    """Valid: the non-crowd instances `admitted` accepts; ignored: the rest."""
     valid, ignored = [], []
-    for inst in instances:
-        (valid if not inst.iscrowd and admits(inst) else ignored).append(inst)
-    return Partition(valid, ignored, resolution_index)
-
-
-@dataclass(frozen=True)
-class IsnPolicy:
-    pyramid: PyramidSpec
-    scale_range: ScaleRange
-
-
-@dataclass(frozen=True)
-class SnipPolicy:
-    table: SnipRangeTable
+    for inst, ok in zip(instances, admitted.tolist()):
+        (valid if ok and not inst.iscrowd else ignored).append(inst)
+    return Partition(valid, ignored)
 
 
 @dataclass(frozen=True)
@@ -153,33 +192,16 @@ def default_bin_edges(
     return np.logspace(math.log10(low), math.log10(high), bins + 1)
 
 
-def _histogram(values: list[float], edges: np.ndarray) -> ScaleHistogram:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size:
-        arr = np.clip(arr, edges[0], edges[-1])
-    counts, _ = np.histogram(arr, bins=edges)
-    mass = counts / arr.size if arr.size else counts.astype(np.float64)
-    return ScaleHistogram(edges, mass, int(arr.size))
-
-
-def _edges_split_at(edges: np.ndarray, scale_range: ScaleRange) -> np.ndarray:
-    # Insert the interval endpoints so no bin straddles the valid/ignored
-    # boundary; the upper cut sits just past the (inclusive) upper end.
-    cuts = []
-    if edges[0] < scale_range.lower < edges[-1]:
-        cuts.append(scale_range.lower)
-    if math.isfinite(scale_range.upper) and edges[0] < scale_range.upper < edges[-1]:
-        cuts.append(np.nextafter(scale_range.upper, math.inf))
-    if not cuts:
-        return edges
-    return np.unique(np.concatenate([edges, cuts]))
+def _histogram(values: np.ndarray, edges: np.ndarray) -> ScaleHistogram:
+    counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
+    mass = counts / values.size if values.size else counts.astype(np.float64)
+    return ScaleHistogram(edges, mass, int(values.size))
 
 
 def resized_scale_distributions(
     instances: list[Instance],
     policy: IsnPolicy | SnipPolicy,
     image_sizes: dict[int, tuple[int, int]] | None = None,
-    edges: np.ndarray | None = None,
 ) -> tuple[ScaleHistogram, ScaleHistogram]:
     """Histograms of resized scales for trained vs ignored (instance, resolution) pairs.
 
@@ -189,42 +211,12 @@ def resized_scale_distributions(
     the image. Both histograms share bin edges and each sums to 1 when
     non-empty.
     """
-    trained: list[float] = []
-    ignored: list[float] = []
     objects = [inst for inst in instances if not inst.iscrowd]
-
-    if isinstance(policy, IsnPolicy):
-        if edges is None:
-            edges = _edges_split_at(default_bin_edges(), policy.scale_range)
-        for inst in objects:
-            base = instance_scale(inst.bbox)
-            for factor in policy.pyramid:
-                resized = factor * base
-                (trained if policy.scale_range.contains(resized) else ignored).append(
-                    resized
-                )
-    elif isinstance(policy, SnipPolicy):
-        if edges is None:
-            edges = default_bin_edges()
-        for inst in objects:
-            base = instance_scale(inst.bbox)
-            for entry in policy.table.entries:
-                if entry.factor is None:
-                    if image_sizes is None or inst.image_id not in image_sizes:
-                        raise ValueError(
-                            f"image size needed to derive resize factor for "
-                            f"instance {inst.id} (image {inst.image_id})"
-                        )
-                    h, w = image_sizes[inst.image_id]
-                    factor = entry.factor_for(h, w)
-                else:
-                    factor = entry.factor
-                resized = factor * base
-                (trained if entry.admits(base) else ignored).append(resized)
-    else:
-        raise TypeError(f"unsupported policy: {policy!r}")
-
-    return _histogram(trained, edges), _histogram(ignored, edges)
+    scales = _scales(objects)
+    resized = policy.factors(objects, image_sizes) * scales[:, None]
+    admitted = policy.admits(scales)
+    edges = policy.bin_edges()
+    return _histogram(resized[admitted], edges), _histogram(resized[~admitted], edges)
 
 
 def consistency_overlap(trained: ScaleHistogram, ignored: ScaleHistogram) -> float:

@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from scalenorm import cli
+from scalenorm import AppConfig, EvalConfig, SoftNmsConfig, cli
 from scalenorm.cli import main
 from scalenorm.dataio import write_json
 
@@ -88,6 +89,10 @@ BAD_INPUTS = [
                  id="negative-factor"),
     pytest.param(ANALYZE_SNIP, [dict(SNIP_ENTRY, resolution=[0, 0])],
                  "table entry #0: resolution must be at least 1x1, got 0x0", id="empty-resolution"),
+    pytest.param(EVAL + ["--scale-range", "16,560", "--set", "eval.scale_restriction=[32,64]"],
+                 PERFECT_DETECTIONS,
+                 "--scale-range conflicts with config key 'eval.scale_restriction'",
+                 id="scale-range-and-restriction"),
     pytest.param(SEARCH, [{"range": [0, 640], "ap": "38"}],
                  "lookup entry #0: ap must be a finite number, got '38'", id="numeric-string-ap"),
     pytest.param(SEARCH, [{"range": [0, 640], "ap": "x"}],
@@ -111,6 +116,25 @@ BAD_INPUTS = [
                  "crowd_fraction must lie in [0, 1], got -1.0", id="negative-crowd-fraction"),
     pytest.param(SIMULATE + ["--categories", "0"], None,
                  "num_categories must be at least 1, got 0", id="no-categories"),
+]
+
+
+# Every subcommand (eval and search in both forms) with its JSON outputs OUT
+# and OUT2; ANN, DETS, TAGGED and TABLE are valid inputs, CSV a CSV output.
+ECHOING_COMMANDS = [
+    pytest.param(["partition", "--annotations", "ANN", "--out", "OUT"], id="partition"),
+    pytest.param(["analyze-snip", "--annotations", "ANN", "--out", "OUT", "--csv", "CSV"],
+                 id="analyze-snip"),
+    pytest.param(["fuse", "--dets", "TAGGED", "--out", "OUT"], id="fuse"),
+    pytest.param(["eval", "--annotations", "ANN", "--dets", "DETS", "--out", "OUT"], id="eval"),
+    pytest.param(["eval", "--annotations", "ANN", "--dets", "DETS", "--scale-range", "16,560",
+                  "--out", "OUT"], id="eval-scale-range"),
+    pytest.param(["search", "--table", "TABLE", "--out", "OUT"], id="search-table"),
+    pytest.param(["search", "--simulate", "--images", "4", "--out", "OUT"], id="search-simulate"),
+    pytest.param(["simulate", "--images", "4", "--out", "OUT", "--out-dets", "OUT2"],
+                 id="simulate"),
+    pytest.param(["stage-hist", "--annotations", "ANN", "--out", "CSV", "--json", "OUT"],
+                 id="stage-hist"),
 ]
 
 
@@ -165,6 +189,26 @@ class TestEvalCommand:
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("argv", ECHOING_COMMANDS)
+    def test_json_outputs_echo_effective_config(self, tmp_path, annotations, argv):
+        paths = {name: tmp_path / f"{name.lower()}.json" for name in ("DETS", "TAGGED", "TABLE")}
+        write_json(paths["DETS"], PERFECT_DETECTIONS)
+        write_json(paths["TAGGED"], [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
+        write_json(paths["TABLE"], [{"range": list(k), "ap": v} for k, v in RANGE_AP_TABLE.items()])
+        paths.update(ANN=annotations, CSV=tmp_path / "out.csv",
+                     OUT=tmp_path / "out.json", OUT2=tmp_path / "out2.json")
+        flags = ["--seed", "3", "--set", "soft_nms.sigma=0.7", "--set", "eval.max_dets=50"]
+        assert run_cli(*(paths.get(a, a) for a in argv), *flags) == 0
+        expected = AppConfig(
+            soft_nms=replace(SoftNmsConfig(), sigma=0.7), eval=replace(EvalConfig(), max_dets=50)
+        ).with_seed(3).to_dict()
+        written = [paths[a] for a in argv if a in ("OUT", "OUT2")]
+        assert written
+        for path in written:
+            assert json.loads(path.read_text())["config"] == expected, path.name
 
 
 class TestSearchCommand:
@@ -420,6 +464,17 @@ class TestErrorSurface:
         assert run_cli(*(paths.get(a, a) for a in argv)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_undecodable_file_names_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        dets = tmp_path / "dets.json"
+        write_json(dets, PERFECT_DETECTIONS)
+        out = tmp_path / "metrics.json"
+        assert run_cli("eval", "--annotations", bad, "--dets", dets, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_cached_parser_keeps_no_override(self, tmp_path):
         """The parser is built once per process; a `--set` given to one call

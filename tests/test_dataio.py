@@ -133,7 +133,8 @@ class TestTables:
             ],
         )
         table = load_oracle_table(path)
-        assert table[(0.0, 640.0)]["ap"] == 37.4
+        assert table[(0.0, 640.0)].ap == 37.4
+        assert table[(0.0, 640.0)].ap50 == -1.0  # absent metrics read -1
         assert (16.0, math.inf) in table
 
     def test_oracle_table_requires_ap(self, tmp_path):

@@ -264,13 +264,14 @@ class TestOracleAgreement:
 
 
 class TestSerialization:
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
+        from scalenorm import dataio
+
         gt = make_instance(100.0)
         result = evaluate([gt], [detection_for(gt, 0.9)])
-        from scalenorm.evaluation import EvalResult
-
-        clone = EvalResult.from_dict(result.to_dict())
-        assert clone == result
+        path = tmp_path / "table.json"
+        dataio.write_json(path, [{"range": [16, None], **result.to_dict()}])
+        assert dataio.load_oracle_table(path) == {(16.0, math.inf): result}
 
     def test_csv_layout(self, tmp_path):
         from scalenorm import dataio

@@ -98,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("eval", _cmd_eval, "COCO-style metrics for detections vs annotations",
                 "--annotations")
     p.add_argument("--dets", required=True)
-    p.add_argument("--scale-range", help="also evaluate restricted to 'lower,upper'")
+    p.add_argument("--scale-range", dest="restriction",  # not the config's scale_range
+                   help="also evaluate restricted to 'lower,upper'")
     p.add_argument("--csv", help="also write metrics as CSV")
 
     p = command("search", _cmd_search, "greedy coordinate descent over range candidates")
@@ -242,7 +243,7 @@ def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> None:
-    if args.scale_range and cfg.eval.scale_restriction is not None:
+    if args.restriction and cfg.eval.scale_restriction is not None:
         raise ValueError("--scale-range conflicts with config key 'eval.scale_restriction'")
     dataset = dataio.load_annotations(args.annotations)
     dets = dataio.load_detections(args.dets)
@@ -253,8 +254,8 @@ def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> None:
                 f"detection #{i}: references missing image {det.image_id}"
             )
     categories = dataset.category_ids()
-    if args.scale_range:
-        restriction = parse_range(args.scale_range)
+    if args.restriction:
+        restriction = parse_range(args.restriction)
         unrestricted, restricted = ap_by_scale_report(
             dataset.instances, dets, cfg.eval, restriction, categories
         )

@@ -7,6 +7,12 @@ while localization noise grows per octave outside the band. Spurious
 detections arrive at a Poisson rate per (image, resolution). All draws come
 from per-(instance, resolution) substreams keyed on stable integers, so runs
 are reproducible and adding resolutions never perturbs existing draws.
+
+Stream (instance, resolution) is `default_rng([seed, image, instance,
+factor_key])` and stream (image, resolution) of the spurious detections is
+`default_rng([seed, image, factor_key, 0x5F])`. One call seeds all of its
+streams in one batched pass that reproduces those generators' states bit for
+bit, then draws from each in turn with one reused generator.
 """
 
 from __future__ import annotations
@@ -29,14 +35,18 @@ from .geometry import (
     Instance,
     PyramidSpec,
     ScaleRange,
-    instance_scale,
-    project_box,
     resize_plan,
 )
 
 STRATEGIES = ("isn", "naive_ms", "single_scale")
 
 _FP_STREAM = 0x5F
+
+# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_WORD = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _PCG_MASK = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -102,64 +112,111 @@ def _clip01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _hashmix(hash_const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix over uint32 arrays; each call advances one running constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = (value ^ hash_const) * (hash_const := hash_const * mult & _WORD)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ result >> 16
+
+
+def _pcg64_states(keys: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of `np.random.default_rng(list(key))` for each key,
+    bit for bit: NumPy's SeedSequence (a pool of 4 words) hashes every key at
+    once in uint32 arrays, then PCG64's set_seed runs in Python ints."""
+    flat = [part for key in keys for part in key]
+    if min(flat, default=0) < 0:
+        raise ValueError(f"stream key parts must be non-negative, got {min(flat)}")
+    if max(flat, default=0) > _WORD:  # SeedSequence splits each part into little-endian words
+        keys = [[part >> shift & _WORD for part in key
+                 for shift in range(0, max(1, part.bit_length()), 32)] for key in keys]
+        flat = [word for key in keys for word in key]
+    lengths = np.array([len(key) for key in keys], dtype=int)
+    entropy = np.zeros((len(keys), max(4, lengths.max(initial=0))), np.uint32)
+    entropy[np.arange(entropy.shape[1]) < lengths[:, None]] = flat
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = np.where(src < lengths, _mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    generate = _hashmix(_INIT_B, _MULT_B)
+    words = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1).astype(np.uint64)
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in (words[:, 0::2] | words[:, 1::2] << 32).tolist():
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _PCG_MASK
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _PCG_MASK, inc))
+    return states
+
+
 def simulate_detections(
     dataset: Dataset, pyramid: PyramidSpec, profile: DetectorProfile
 ) -> list[tuple[float, list[Detection]]]:
     """Detector surrogate: per-resolution detections in resized coordinates."""
     cat_ids = dataset.category_ids()
     by_image = dataset.instances_by_image()
-    images = sorted(dataset.images, key=lambda img: img.id)
+    groups = [(img, sorted(by_image.get(img.id, []), key=lambda x: x.id))
+              for img in sorted(dataset.images, key=lambda img: img.id)]
+    boxes = np.array([
+        (i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for _, insts in groups for i in insts
+    ]).reshape(-1, 4)
+    scales = np.sqrt(boxes[:, 2] * boxes[:, 3])
+    spurious = profile.fp_rate != 0 and bool(cat_ids)
+    keys = []
+    for fkey in map(_factor_key, pyramid):
+        for img, insts in groups:
+            keys += [(profile.seed, img.id, inst.id, fkey) for inst in insts]
+            if spurious:
+                keys.append((profile.seed, img.id, fkey, _FP_STREAM))
+    streams = iter(_pcg64_states(keys))
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+
+    def next_stream() -> None:  # point `rng` at the next stream, fresh as from default_rng
+        state, inc = next(streams)
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+
     out = []
     for index, factor in enumerate(pyramid):
-        fkey = _factor_key(factor)
+        rows = zip((boxes * factor).tolist(), (factor * scales).tolist())
         dets: list[Detection] = []
-        for img in images:
-            for inst in sorted(by_image.get(img.id, []), key=lambda x: x.id):
-                rng = np.random.default_rng(
-                    [profile.seed, img.id, inst.id, fkey]
-                )
-                resized = instance_scale(inst.bbox, factor)
+        for img, insts in groups:
+            for inst, ((x, y, w, h), resized) in zip(insts, rows):
+                next_stream()
                 if rng.random() >= detection_probability(resized, profile):
                     continue
-                box = project_box(inst.bbox, factor)
                 sigma = localization_noise(resized, profile)
-                dx, dy, dw, dh = (float(v) for v in rng.normal(0.0, 1.0, 4))
+                dx, dy, dw, dh = rng.normal(0.0, 1.0, 4).tolist()
                 jittered = BBox(
-                    max(0.0, box.x + dx * sigma * box.w),
-                    max(0.0, box.y + dy * sigma * box.h),
-                    box.w * math.exp(dw * sigma),
-                    box.h * math.exp(dh * sigma),
+                    max(0.0, x + dx * sigma * w),
+                    max(0.0, y + dy * sigma * h),
+                    w * math.exp(dw * sigma),
+                    h * math.exp(dh * sigma),
                 )
                 score = _clip01(float(rng.normal(profile.tp_score_mean, profile.tp_score_std)))
-                dets.append(
-                    Detection(jittered, inst.category_id, score, img.id, index)
-                )
-            dets.extend(
-                _spurious_detections(img, factor, index, profile, cat_ids)
-            )
+                dets.append(Detection(jittered, inst.category_id, score, img.id, index))
+            if spurious:  # Poisson count, then per detection: box, score, category
+                next_stream()
+                rh, rw = resize_plan(img.height, img.width, factor)
+                for _ in range(int(rng.poisson(profile.fp_rate))):
+                    box = _random_box(rng, 8.0, max(16.0, 0.5 * min(rh, rw)), rh, rw)
+                    score = _clip01(float(rng.normal(profile.fp_score_mean, profile.fp_score_std)))
+                    cat = cat_ids[int(rng.integers(len(cat_ids)))]
+                    dets.append(Detection(box, cat, score, img.id, index))
         out.append((factor, dets))
     return out
-
-
-def _spurious_detections(
-    img: ImageInfo,
-    factor: float,
-    index: int,
-    profile: DetectorProfile,
-    cat_ids: list[int],
-) -> list[Detection]:
-    if profile.fp_rate == 0 or not cat_ids:
-        return []
-    rng = np.random.default_rng([profile.seed, img.id, _factor_key(factor), _FP_STREAM])
-    count = int(rng.poisson(profile.fp_rate))
-    rh, rw = resize_plan(img.height, img.width, factor)
-    dets = []
-    for _ in range(count):
-        box = _random_box(rng, 8.0, max(16.0, 0.5 * min(rh, rw)), rh, rw)
-        score = _clip01(float(rng.normal(profile.fp_score_mean, profile.fp_score_std)))
-        cat = cat_ids[int(rng.integers(len(cat_ids)))]
-        dets.append(Detection(box, cat, score, img.id, index))
-    return dets
 
 
 def _random_box(rng: np.random.Generator, low: float, high: float, height: int, width: int) -> BBox:

@@ -303,3 +303,71 @@ def evaluate_reference(gts, dets, cfg, categories=None):
             cat: mean_defined(ap[(cat, "all")]) for cat in vocab
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# Synthetic detector reference
+
+
+def simulate_reference(dataset, factors, profile):
+    """The seeded synthetic detector with one `np.random.default_rng` per stream.
+
+    Returns one list per factor of (x, y, w, h, category, score, image,
+    resolution index) tuples in the detector's output order: images by id,
+    each image's instances by id, then the image's spurious detections.
+    Stream keys: [seed, image, instance, factor key] for an instance and
+    [seed, image, factor key, 0x5F] for an image's spurious detections, where
+    the factor key is round(factor * 2**20).
+    """
+    p = profile
+    if dataset.categories:
+        categories = sorted(c["id"] for c in dataset.categories)
+    else:
+        categories = sorted({inst.category_id for inst in dataset.instances})
+
+    def octaves(scale):
+        if scale < p.sweet_low:
+            return math.log2(p.sweet_low / scale)
+        if scale > p.sweet_high:
+            return math.log2(scale / p.sweet_high)
+        return 0.0
+
+    def clip(value):
+        return min(1.0, max(0.0, value))
+
+    out = []
+    for index, factor in enumerate(factors):
+        factor_key = int(round(factor * (1 << 20)))
+        rows = []
+        for img in sorted(dataset.images, key=lambda i: i.id):
+            own = [inst for inst in dataset.instances if inst.image_id == img.id]
+            for inst in sorted(own, key=lambda i: i.id):
+                rng = np.random.default_rng([p.seed, img.id, inst.id, factor_key])
+                b = inst.bbox
+                scale = factor * math.sqrt(b.w * b.h)
+                if rng.random() >= p.p_detect_in_band * p.p_detect_decay ** octaves(scale):
+                    continue
+                sigma = p.loc_noise_frac * p.loc_noise_growth ** octaves(scale)
+                dx, dy, dw, dh = rng.normal(0.0, 1.0, 4)
+                x, y, w, h = b.x * factor, b.y * factor, b.w * factor, b.h * factor
+                x, y = max(0.0, x + dx * sigma * w), max(0.0, y + dy * sigma * h)
+                w, h = w * math.exp(dw * sigma), h * math.exp(dh * sigma)
+                score = clip(float(rng.normal(p.tp_score_mean, p.tp_score_std)))
+                rows.append((x, y, w, h, inst.category_id, score, img.id, index))
+            if p.fp_rate == 0 or not categories:
+                continue
+            rng = np.random.default_rng([p.seed, img.id, factor_key, 0x5F])
+            height = max(1, round(img.height * factor))
+            width = max(1, round(img.width * factor))
+            high = max(16.0, 0.5 * min(height, width))
+            for _ in range(int(rng.poisson(p.fp_rate))):
+                scale = math.exp(rng.uniform(math.log(8.0), math.log(high)))
+                ratio = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+                w, h = scale * math.sqrt(ratio), scale / math.sqrt(ratio)
+                x = rng.uniform(0.0, max(1e-6, width - w))
+                y = rng.uniform(0.0, max(1e-6, height - h))
+                score = clip(float(rng.normal(p.fp_score_mean, p.fp_score_std)))
+                category = categories[int(rng.integers(len(categories)))]
+                rows.append((x, y, w, h, category, score, img.id, index))
+        out.append(rows)
+    return out

@@ -179,6 +179,19 @@ class TestEvalCommand:
         assert payload["unrestricted"]["ap"] == 1.0
         assert payload["restricted"]["ap"] == 1.0
 
+    def test_scale_range_is_not_echoed_as_fusion_range(self, tmp_path, annotations):
+        dets = tmp_path / "dets.json"
+        write_json(dets, PERFECT_DETECTIONS)
+        out = tmp_path / "metrics.json"
+        assert run_cli(
+            "eval", "--annotations", annotations, "--dets", dets,
+            "--scale-range", "32,300", "--out", out,
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert payload["scale_range"] == [32.0, 300.0]
+        assert payload["config"] == AppConfig().to_dict()
+        assert payload["config"]["scale_range"] == [16.0, 560.0]
+
     def test_detection_on_unknown_image_fails(self, tmp_path, annotations, capsys):
         dets = tmp_path / "dets.json"
         write_json(dets, [dict(PERFECT_DETECTIONS[0], image_id=9)])

@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import simulate_reference
 from scalenorm import (
     BBox,
     DetectorProfile,
@@ -16,7 +20,7 @@ from scalenorm import (
 )
 from scalenorm.dataio import Dataset, ImageInfo
 from scalenorm.geometry import instance_scale, project_box
-from scalenorm.simulate import localization_noise, octaves_outside_band
+from scalenorm.simulate import _factor_key, _pcg64_states, localization_noise, octaves_outside_band
 
 PYRAMID = PyramidSpec((4.0, 2.0, 1.0, 0.5, 0.25))
 WINDOW = ScaleRange(16.0, 560.0)
@@ -226,3 +230,116 @@ class TestProfileValidation:
             DetectorProfile(p_detect_in_band=1.5)
         with pytest.raises(ValueError):
             DetectorProfile(p_detect_decay=0.0)
+
+
+# Stream keys [seed, image, instance, factor key]: parts of 0, parts of two or
+# three 32-bit words (seed 2**70, image 2**40, the key of factor 4096), and
+# every word count from 4 to 9 in one call.
+SEED_KEYS = [
+    (0, 0, 0, 0),
+    (0, 1, 2, 3),
+    (11, 3, 17, _factor_key(0.25)),
+    (2**70, 1, 5, _factor_key(1.0)),
+    (7, 2**40, 3, _factor_key(2.0)),
+    (7, 3, 0, _factor_key(4096.0)),
+    (2**32 - 1, 2**32, 2**64 - 1, 2**64),
+    (2**70, 2**40, 2**33, _factor_key(5000.0)),
+    (123, 2**96 + 5, 2**64 + 1, 0x5F),
+] + [(seed, image, instance, _factor_key(f))
+     for seed in (0, 5) for image in (0, 1, 2**40) for instance in (0, 9) for f in (4.0, 0.5)]
+
+
+class TestStreamSeeding:
+    def test_states_equal_default_rng(self):
+        expected = [np.random.default_rng(list(key)).bit_generator.state for key in SEED_KEYS]
+        states = _pcg64_states(SEED_KEYS)
+        assert len(states) == len(SEED_KEYS)
+        for key, (state, inc), want in zip(SEED_KEYS, states, expected):
+            assert {"state": state, "inc": inc} == want["state"], key
+
+    def test_first_draws_equal_default_rng(self):
+        bitgen = np.random.PCG64(0)
+        rng = np.random.Generator(bitgen)
+        for key, (state, inc) in zip(SEED_KEYS, _pcg64_states(SEED_KEYS)):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            reference = np.random.default_rng(list(key))
+            assert rng.random() == reference.random(), key
+            assert rng.normal(0.0, 1.0, 4).tolist() == reference.normal(0.0, 1.0, 4).tolist()
+            assert rng.integers(3) == reference.integers(3)
+            assert rng.poisson(2.5) == reference.poisson(2.5)
+
+    def test_one_key_and_no_keys(self):
+        assert _pcg64_states([]) == []
+        state = np.random.default_rng([1, 2, 3, 4]).bit_generator.state["state"]
+        assert _pcg64_states([(1, 2, 3, 4)]) == [(state["state"], state["inc"])]
+
+    @pytest.mark.parametrize("image_id, instance_id", [(-1, 1), (1, -1)])
+    def test_negative_id_raises_like_default_rng(self, image_id, instance_id):
+        dataset = Dataset(
+            [ImageInfo(image_id, 100, 100)],
+            [Instance(BBox(1.0, 1.0, 40.0, 40.0), 1, False, instance_id, image_id)],
+            [{"id": 1, "name": "object"}],
+        )
+        with pytest.raises(ValueError):
+            np.random.default_rng([0, image_id, instance_id, _factor_key(1.0)])
+        with pytest.raises(ValueError):
+            simulate_detections(dataset, PyramidSpec((1.0,)), DetectorProfile())
+
+
+@st.composite
+def simulations(draw):
+    """A small dataset (possibly with images that hold no instance, one
+    category or none listed), a pyramid and a detector profile. Noise stays
+    small: a box 12 octaves out of band at 30% noise overflows `math.exp`."""
+    image_ids = draw(st.lists(st.sampled_from((0, 1, 2, 7, 2**40)), min_size=1, max_size=3))
+    num_categories = draw(st.integers(1, 3))
+    coord = st.integers(0, 60).map(lambda v: 8.0 * v)
+    size = st.sampled_from((1.0, 3.5, 12.0, 40.0, 100.0, 300.0, 900.0))
+    instance_ids = st.sampled_from((0, 1, 2, 5, 99, 2**33))
+    images = [ImageInfo(i, draw(st.integers(1, 600)), draw(st.integers(1, 800))) for i in image_ids]
+    instances = [
+        Instance(BBox(draw(coord), draw(coord), draw(size), draw(size)),
+                 draw(st.integers(1, num_categories)), False, draw(instance_ids), image_id)
+        for image_id in image_ids for _ in range(draw(st.integers(0, 4)))
+    ]
+    categories = [{"id": c, "name": f"c{c}"} for c in range(1, num_categories + 1)]
+    if draw(st.booleans()):
+        categories = []
+    factors = draw(st.lists(st.sampled_from((4.0, 2.0, 1.0, 0.5, 0.25, 0.7, 4096.0)),
+                            min_size=1, max_size=4, unique=True))
+    profile = DetectorProfile(
+        p_detect_in_band=draw(st.sampled_from((1.0, 0.95, 0.5))),
+        p_detect_decay=draw(st.sampled_from((1.0, 0.5))),
+        loc_noise_frac=draw(st.sampled_from((0.0, 0.02))),
+        fp_rate=draw(st.sampled_from((0.0, 0.5, 3.0))),
+        tp_score_std=draw(st.sampled_from((0.0, 0.1, 0.5))),
+        seed=draw(st.sampled_from((0, 11, 2**32, 2**70))),
+    )
+    return Dataset(images, instances, categories), PyramidSpec(tuple(factors)), profile
+
+
+def as_rows(per_resolution):
+    """simulate_detections output in the reference's tuple form."""
+    return [
+        [(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.category_id, d.score, d.image_id,
+          d.resolution_index) for d in dets]
+        for _, dets in per_resolution
+    ]
+
+
+class TestReferenceAgreement:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(simulations())
+    def test_equals_per_stream_reference(self, case):
+        dataset, pyramid, profile = case
+        got = simulate_detections(dataset, pyramid, profile)
+        assert [factor for factor, _ in got] == list(pyramid)
+        assert as_rows(got) == simulate_reference(dataset, pyramid, profile)
+
+    @pytest.mark.parametrize("fp_rate", [0.0, 0.5, 8.0])
+    def test_generated_dataset_equals_reference(self, fp_rate):
+        dataset = generate_dataset(12, 4, crowd_fraction=0.2)
+        profile = DetectorProfile(fp_rate=fp_rate, seed=11)
+        got = simulate_detections(dataset, PYRAMID, profile)
+        assert as_rows(got) == simulate_reference(dataset, PYRAMID, profile)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -128,10 +128,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _pcg64_states(keys: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of `np.random.default_rng(list(key))` for each key,
-    bit for bit: NumPy's SeedSequence (a pool of 4 words) hashes every key at
-    once in uint32 arrays, then PCG64's set_seed runs in Python ints."""
+def _pcg64_states(keys: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of `np.random.default_rng(list(key))` for each key in
+    turn, bit for bit: NumPy's SeedSequence (a pool of 4 words) hashes every
+    key at once in uint32 arrays and keeps only its output words; PCG64's
+    set_seed then runs in Python ints on each pair as it is taken."""
     flat = [part for key in keys for part in key]
     if min(flat, default=0) < 0:
         raise ValueError(f"stream key parts must be non-negative, got {min(flat)}")
@@ -151,13 +152,14 @@ def _pcg64_states(keys: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     for src in range(4, entropy.shape[1]):
         for dst in range(4):
             pool[dst] = np.where(src < lengths, _mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
-    generate = _hashmix(_INIT_B, _MULT_B)
-    words = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1).astype(np.uint64)
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in (words[:, 0::2] | words[:, 1::2] << 32).tolist():
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _PCG_MASK
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _PCG_MASK, inc))
-    return states
+    # generate_state(4, uint64): 8 words from the pool in turn, read as little-endian pairs.
+    words = np.stack([*map(_hashmix(_INIT_B, _MULT_B), pool + pool)], axis=1).astype("<u4")
+
+    def set_seed(rows):  # rows of 64-bit words: state hi, state lo, sequence hi, sequence lo
+        for s_hi, s_lo, q_hi, q_lo in rows:
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _PCG_MASK
+            yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _PCG_MASK, inc
+    return set_seed(map(np.ndarray.tolist, words.view("<u8")))
 
 
 def simulate_detections(
@@ -168,9 +170,8 @@ def simulate_detections(
     by_image = dataset.instances_by_image()
     groups = [(img, sorted(by_image.get(img.id, []), key=lambda x: x.id))
               for img in sorted(dataset.images, key=lambda img: img.id)]
-    boxes = np.array([
-        (i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for _, insts in groups for i in insts
-    ]).reshape(-1, 4)
+    boxes = np.array([(i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h)
+                      for _, insts in groups for i in insts]).reshape(-1, 4)
     scales = np.sqrt(boxes[:, 2] * boxes[:, 3])
     spurious = profile.fp_rate != 0 and bool(cat_ids)
     keys = []
@@ -179,7 +180,8 @@ def simulate_detections(
             keys += [(profile.seed, img.id, inst.id, fkey) for inst in insts]
             if spurious:
                 keys.append((profile.seed, img.id, fkey, _FP_STREAM))
-    streams = iter(_pcg64_states(keys))
+    streams = _pcg64_states(keys)
+    del keys  # hashed; free them before the records are built
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
 
@@ -190,7 +192,7 @@ def simulate_detections(
 
     out = []
     for index, factor in enumerate(pyramid):
-        rows = zip((boxes * factor).tolist(), (factor * scales).tolist())
+        rows = zip(map(np.ndarray.tolist, boxes * factor), (factor * scales).tolist())
         dets: list[Detection] = []
         for img, insts in groups:
             for inst, ((x, y, w, h), resized) in zip(insts, rows):

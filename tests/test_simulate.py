@@ -252,7 +252,7 @@ SEED_KEYS = [
 class TestStreamSeeding:
     def test_states_equal_default_rng(self):
         expected = [np.random.default_rng(list(key)).bit_generator.state for key in SEED_KEYS]
-        states = _pcg64_states(SEED_KEYS)
+        states = list(_pcg64_states(SEED_KEYS))
         assert len(states) == len(SEED_KEYS)
         for key, (state, inc), want in zip(SEED_KEYS, states, expected):
             assert {"state": state, "inc": inc} == want["state"], key
@@ -270,9 +270,9 @@ class TestStreamSeeding:
             assert rng.poisson(2.5) == reference.poisson(2.5)
 
     def test_one_key_and_no_keys(self):
-        assert _pcg64_states([]) == []
+        assert list(_pcg64_states([])) == []
         state = np.random.default_rng([1, 2, 3, 4]).bit_generator.state["state"]
-        assert _pcg64_states([(1, 2, 3, 4)]) == [(state["state"], state["inc"])]
+        assert list(_pcg64_states([(1, 2, 3, 4)])) == [(state["state"], state["inc"])]
 
     @pytest.mark.parametrize("image_id, instance_id", [(-1, 1), (1, -1)])
     def test_negative_id_raises_like_default_rng(self, image_id, instance_id):

@@ -243,6 +243,7 @@ SEED_KEYS = [
     (7, 2**40, 3, _factor_key(2.0)),
     (7, 3, 0, _factor_key(4096.0)),
     (2**32 - 1, 2**32, 2**64 - 1, 2**64),
+    (2**70, 2**40, 1, 2),
     (2**70, 2**40, 2**33, _factor_key(5000.0)),
     (123, 2**96 + 5, 2**64 + 1, 0x5F),
 ] + [(seed, image, instance, _factor_key(f))

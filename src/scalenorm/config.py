@@ -29,10 +29,10 @@ from .simulate import DetectorProfile
 
 DEFAULT_FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25)
 DEFAULT_RANGE = ScaleRange(16.0, 560.0)
-# Types stored as a JSON list: (annotation of the list, constructor from it).
+# Types stored as a JSON list: (annotation of the list, constructor from it, the list).
 _LISTED = {
-    ScaleRange: (tuple[float | None, ...], ScaleRange.from_pair),
-    PyramidSpec: (tuple[float, ...], PyramidSpec),
+    ScaleRange: (tuple[float | None, ...], ScaleRange.from_pair, ScaleRange.to_pair),
+    PyramidSpec: (tuple[float, ...], PyramidSpec, list),
 }
 
 
@@ -46,10 +46,8 @@ def _fields(cls: type) -> tuple[tuple[str, str, object], ...]:
 def _encode(value):
     if value is None or isinstance(value, (int, float, str)):
         return value
-    if isinstance(value, ScaleRange):
-        return value.to_pair()
-    if isinstance(value, PyramidSpec):
-        return list(value.factors)
+    if type(value) in _LISTED:
+        return _LISTED[type(value)][2](value)
     if isinstance(value, tuple):
         return list(value)
     return {key: _encode(getattr(value, name)) for name, key, _ in _fields(type(value))}
@@ -70,7 +68,7 @@ def _decode(value, hint, path: str):
             raise ValueError(f"config key {path!r}: expected a list, got {value!r}")
         return tuple(_decode(v, args[0], path) for v in value)
     if hint in _LISTED:
-        listed, build = _LISTED[hint]
+        listed, build, _ = _LISTED[hint]
         value = _decode(value, listed, path)
     else:  # a config dataclass
         if not isinstance(value, dict):

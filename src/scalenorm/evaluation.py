@@ -10,17 +10,21 @@ points (101 by default) and averages over IoU thresholds and categories.
 
 Evaluation joins two prepared sides. The ground-truth side holds each
 (image, category) unit's crowd flags and, per area bucket, its ignore flags.
-The detection side holds each detection row's image, category, bucket and
-scale, and its candidates: the ground truth of its unit at or above the
-lowest threshold, the only ones it can ever match, read from one IoU matrix
-per image. It depends on neither scores nor ignore flags, so both passes of
-`ap_by_scale_report` share it and range search reuses it for every probe.
-Matching walks just the candidates and fills one lane per (area bucket, IoU
-threshold); a unit without candidates is never walked.
-All lanes of a category share one stable score ranking, in which absorbed
-detections (and unmatched ones outside the bucket) stay masked: they add to
-neither the TP nor the FP count and their precision is 0, so the AP and recall
-are those of the ranking without them.
+The detection side holds each detection row's image, category, bucket (an
+index into BUCKET_NAMES) and scale, and its candidates: the ground truth of
+its unit at or above the lowest threshold, the only ones it can ever match,
+read from one IoU matrix per image. It depends on neither scores nor ignore
+flags, so both passes of `ap_by_scale_report` share it and range search
+reuses it for every probe. Matching walks just the candidates and fills one
+lane per (area bucket, IoU threshold); a unit without candidates is never
+walked. All lanes of a category share one stable score ranking, in which
+absorbed detections (and unmatched ones outside the bucket) stay masked: they
+add to neither the TP nor the FP count and their precision is 0, so the AP
+and recall are those of the ranking without them.
+
+AP and final recall land in two (category, bucket, threshold) arrays that
+start at -1, the mark of a lane without positives; each headline metric is
+the mean of the other values in one slice of them, or -1 if there are none.
 
 When a scale restriction is set, ground truth outside the window becomes
 ignored while detections outside it are discarded before matching.
@@ -75,17 +79,11 @@ class EvalConfig:
             raise ValueError("area bucket edges must satisfy 0 < small < large")
 
     def bucket_of(self, area: float) -> str:
-        if area < self.small_area:
-            return "small"
-        if area <= self.large_area:
-            return "medium"
-        return "large"
+        return BUCKET_NAMES[self._bucket(area)]
 
-    def threshold_index(self, value: float) -> int | None:
-        for i, t in enumerate(self.iou_thresholds):
-            if math.isclose(t, value, abs_tol=1e-9):
-                return i
-        return None
+    def _bucket(self, area):
+        """Index into BUCKET_NAMES of the bucket of `area`, a number or an array."""
+        return 3 - (area <= self.large_area) - (area < self.small_area)
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,9 @@ def _ground_truth(gts: list[Instance], cfg: EvalConfig) -> tuple[dict, dict]:
         by_image.setdefault(g.image_id, []).append((b.x, b.y, b.w, b.h, g.category_id, len(crowd)))
         crowd.append(bool(g.iscrowd))
         base = crowd[-1] or not restrict.contains(instance_scale(b))
-        bucket = cfg.bucket_of(b.area)
-        for name, flags in zip(BUCKET_NAMES, ignore):  # ignored, or outside a bucket but "all"
-            flags.append(base or name not in ("all", bucket))
+        bucket = cfg._bucket(b.area)
+        for i, flags in enumerate(ignore):  # ignored, or outside a bucket but "all"
+            flags.append(base or i not in (0, bucket))
     images = {}
     for img, rows in by_image.items():
         a = np.array(rows)
@@ -147,7 +145,7 @@ class _DetectionRows:
         images, cats = table[:, _IMAGE].astype(int), table[:, _CATEGORY].astype(int)
         area = table[:, _W] * table[:, _H]
         self.images, self.cats = images.tolist(), cats.tolist()
-        self.buckets = [cfg.bucket_of(a) for a in area.tolist()]
+        self.buckets = cfg._bucket(area).tolist()
         self.scale = np.sqrt(area)  # instance_scale, bit for bit
         corners = to_corners(table[:, :4])
         candidates: dict[int, list[tuple[int, float]]] = {}
@@ -221,16 +219,16 @@ def _match_unit(
 
 def _pr_summary(
     order: np.ndarray, is_tp: np.ndarray, is_ig: np.ndarray, n_positive: list[int], grid: np.ndarray
-) -> list[list[list[float]]]:
-    """Interpolated AP and final recall of each (bucket, threshold) lane of the
-    (B, T, D) flags, detections ranked by `order`; -1 for a bucket without
-    positives. Ignored detections stay in the ranking: they add to neither
-    count and their precision is 0, so they never set a sample."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolated AP and final recall, (B, T) each, of the (B, T, D) flags,
+    detections ranked by `order`; bucket b has n_positive[b] > 0 positives.
+    Ignored detections stay in the ranking: they add to neither count and
+    their precision is 0, so they never set a sample."""
     lanes = is_tp.shape[0] * is_tp.shape[1]
     tp, kept = is_tp[..., order].reshape(lanes, -1), ~is_ig[..., order].reshape(lanes, -1)
     positives = np.repeat(n_positive, is_tp.shape[1])
     tp_cum = np.cumsum(tp, axis=1, dtype=np.float64)
-    recall = tp_cum / np.maximum(positives, 1)[:, None]
+    recall = tp_cum / positives[:, None]
     precision = np.zeros((lanes, order.size + 1))
     np.divide(tp_cum, np.cumsum(kept, axis=1, dtype=np.float64), out=precision[:, :-1], where=kept)
     # Precision envelope from the right; a sample past the last recall reads the 0 pad.
@@ -241,44 +239,42 @@ def _pr_summary(
     reached = np.searchsorted(grid, recall, side="right") + rows * (grid.size + 1)
     below = np.bincount(reached.ravel(), minlength=lanes * (grid.size + 1)).reshape(lanes, -1)
     sampled = envelope[below.cumsum(axis=1)[:, :-1] + rows * (order.size + 1)]
-    final = np.count_nonzero(tp, axis=1) / np.maximum(positives, 1)
-    return [
-        np.where(positives > 0, v, -1.0).reshape(is_tp.shape[:2]).tolist()
-        for v in (sampled.mean(axis=1), final)
-    ]
+    final = np.count_nonzero(tp, axis=1) / positives
+    return sampled.mean(axis=1).reshape(is_tp.shape[:2]), final.reshape(is_tp.shape[:2])
 
 
-def _mean_defined(values: list[float]) -> float:
-    defined = [v for v in values if v != -1.0]
-    return float(sum(defined) / len(defined)) if defined else -1.0
+def _mean_defined(values: np.ndarray) -> float:
+    """Mean of the values other than -1, summed left to right in C order; -1 if none."""
+    defined = values[values != -1.0].tolist()
+    return sum(defined) / len(defined) if defined else -1.0
 
 
 def _score(gt_units: dict, det_units: dict, vocab: list[int], cfg: EvalConfig) -> EvalResult:
-    """The evaluation core: match each unit of the two prepared sides,
-    accumulate precision and recall per category, and average."""
+    """The evaluation core: match each unit of the two prepared sides, fill
+    the (category, bucket, threshold) AP and recall arrays, and average."""
     thresholds = cfg.iou_thresholds
     grid = np.linspace(0.0, 1.0, cfg.recall_points)
     keys = sorted(gt_units.keys() | det_units.keys())  # image order within a category
-    ap_table: dict[tuple[int, str], list[float]] = {}
-    rec_table: dict[tuple[int, str], list[float]] = {}
+    aps, recs = np.full((2, len(vocab), len(BUCKET_NAMES), len(thresholds)), -1.0)
 
-    for cat in vocab:
+    for c, cat in enumerate(vocab):
         units = [
             (gt_units.get(k, ([], [[]] * len(BUCKET_NAMES))), det_units.get(k, ([], [], [])))
             for k in keys if k[1] == cat
         ]
+        positives = [(b, n) for b in range(len(BUCKET_NAMES))  # (bucket, ground truth not ignored)
+                     if (n := sum(ignore[b].count(False) for (_, ignore), _ in units))]
+        if not positives:
+            continue  # every lane stays -1
+        has, n_positive = map(list, zip(*positives))
         scores = np.array([s for _, (kept, _, _) in units for s in kept])
-        det_buckets = np.array([b for _, (_, buckets, _) in units for b in buckets], dtype=str)
+        det_buckets = np.array([b for _, (_, buckets, _) in units for b in buckets], dtype=int)
         # One lane per (bucket, threshold); detections are in unit order.
         is_tp = np.zeros((len(BUCKET_NAMES), len(thresholds), scores.size), dtype=bool)
         is_ig = np.zeros_like(is_tp)
-        n_positive = []
-        for b, bucket in enumerate(BUCKET_NAMES):
-            n_positive.append(sum(ignore[b].count(False) for (_, ignore), _ in units))
-            if not n_positive[b]:
-                continue
-            if bucket != "all":  # unmatched detections outside the bucket are ignored
-                is_ig[b] = det_buckets != bucket
+        for b in has:
+            if b:  # unmatched detections outside the bucket are ignored
+                is_ig[b] = det_buckets != b
             start = 0
             for (crowd, ignore), (kept, _, candidates) in units:
                 stop = start + len(kept)
@@ -287,31 +283,20 @@ def _score(gt_units: dict, det_units: dict, vocab: list[int], cfg: EvalConfig) -
                     _match_unit(candidates, crowd, ignore[b], thresholds, is_tp[span], is_ig[span])
                 start = stop
         order = np.argsort(-scores, kind="stable")
-        aps, recs = _pr_summary(order, is_tp, is_ig, n_positive, grid)
-        for bucket, ap, rec in zip(BUCKET_NAMES, aps, recs):
-            ap_table[(cat, bucket)], rec_table[(cat, bucket)] = ap, rec
+        aps[c, has], recs[c, has] = _pr_summary(order, is_tp[has], is_ig[has], n_positive, grid)
 
-    def bucket_mean(bucket: str) -> float:
-        return _mean_defined([v for cat in vocab for v in ap_table[(cat, bucket)]])
-
-    def at_threshold(value: float) -> float:
-        ti = cfg.threshold_index(value)
-        if ti is None:
-            return -1.0
-        return _mean_defined([ap_table[(cat, "all")][ti] for cat in vocab])
-
-    per_category = {
-        cat: _mean_defined(ap_table[(cat, "all")]) for cat in vocab
-    }
+    # The lane of the threshold equal to 0.5 (0.75), or no lane: its mean is -1.
+    lane = {v: [t for t, x in enumerate(thresholds) if math.isclose(x, v, abs_tol=1e-9)][:1]
+            for v in (0.5, 0.75)}
     return EvalResult(
-        ap=bucket_mean("all"),
-        ap50=at_threshold(0.5),
-        ap75=at_threshold(0.75),
-        ap_s=bucket_mean("small"),
-        ap_m=bucket_mean("medium"),
-        ap_l=bucket_mean("large"),
-        ar=_mean_defined([v for cat in vocab for v in rec_table[(cat, "all")]]),
-        per_category=per_category,
+        ap=_mean_defined(aps[:, 0]),
+        ap50=_mean_defined(aps[:, 0, lane[0.5]]),
+        ap75=_mean_defined(aps[:, 0, lane[0.75]]),
+        ap_s=_mean_defined(aps[:, 1]),
+        ap_m=_mean_defined(aps[:, 2]),
+        ap_l=_mean_defined(aps[:, 3]),
+        ar=_mean_defined(recs[:, 0]),
+        per_category={cat: _mean_defined(aps[c, 0]) for c, cat in enumerate(vocab)},
     )
 
 
@@ -331,9 +316,9 @@ def _evaluate(
                 raise EvaluationError(
                     f"ground-truth instance {g.id} has unknown category {g.category_id}"
                 )
-        for d in dets:
+        for i, d in enumerate(dets):
             if d.category_id not in known:
-                raise EvaluationError(f"detection has unknown category {d.category_id}")
+                raise EvaluationError(f"detection #{i}: unknown category {d.category_id}")
     else:
         vocab = sorted({g.category_id for g in gts} | {d.category_id for d in dets})
 

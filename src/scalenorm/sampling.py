@@ -22,10 +22,6 @@ import numpy as np
 
 from .geometry import Instance, PyramidSpec, ScaleRange, instance_scale
 
-HIST_BINS = 64
-HIST_LOW = 1.0
-HIST_HIGH = 2560.0
-
 
 @dataclass
 class Partition:
@@ -186,10 +182,9 @@ class ScaleHistogram:
         return self.total == 0
 
 
-def default_bin_edges(
-    bins: int = HIST_BINS, low: float = HIST_LOW, high: float = HIST_HIGH
-) -> np.ndarray:
-    return np.logspace(math.log10(low), math.log10(high), bins + 1)
+def default_bin_edges() -> np.ndarray:
+    """64 log-spaced scale bins from 1 to 2560 pixels."""
+    return np.logspace(math.log10(1.0), math.log10(2560.0), 65)
 
 
 def _histogram(values: np.ndarray, edges: np.ndarray) -> ScaleHistogram:

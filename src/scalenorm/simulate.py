@@ -199,14 +199,20 @@ def simulate_detections(
                 next_stream()
                 if rng.random() >= detection_probability(resized, profile):
                     continue
-                sigma = localization_noise(resized, profile)
                 dx, dy, dw, dh = rng.normal(0.0, 1.0, 4).tolist()
-                jittered = BBox(
-                    max(0.0, x + dx * sigma * w),
-                    max(0.0, y + dy * sigma * h),
-                    w * math.exp(dw * sigma),
-                    h * math.exp(dh * sigma),
-                )
+                try:  # the noise grows without bound away from the sweet band
+                    sigma = localization_noise(resized, profile)
+                    jittered = BBox(
+                        max(0.0, x + dx * sigma * w),
+                        max(0.0, y + dy * sigma * h),
+                        w * math.exp(dw * sigma),
+                        h * math.exp(dh * sigma),
+                    )
+                except (OverflowError, ValueError) as exc:
+                    raise ValueError(
+                        f"localization jitter out of float range at pyramid factor {factor}: "
+                        "lower detector.loc_noise_frac or detector.loc_noise_growth"
+                    ) from exc
                 score = _clip01(float(rng.normal(profile.tp_score_mean, profile.tp_score_std)))
                 dets.append(Detection(jittered, inst.category_id, score, img.id, index))
             if spurious:  # Poisson count, then per detection: box, score, category

@@ -116,6 +116,14 @@ BAD_INPUTS = [
                  "crowd_fraction must lie in [0, 1], got -1.0", id="negative-crowd-fraction"),
     pytest.param(SIMULATE + ["--categories", "0"], None,
                  "num_categories must be at least 1, got 0", id="no-categories"),
+    pytest.param(["simulate", "--images", "20", "--factors", "4096,1",
+                  "--set", "detector.loc_noise_frac=0.3", "--set", "detector.p_detect_decay=1.0",
+                  "--out", "OUT", "--out-dets", "OUT2"], None,
+                 "localization jitter out of float range at pyramid factor 4096.0: "
+                 "lower detector.loc_noise_frac or detector.loc_noise_growth",
+                 id="jitter-underflow"),
+    pytest.param(EVAL, [PERFECT_DETECTIONS[0], dict(PERFECT_DETECTIONS[1], category_id=7)],
+                 "detection #1: unknown category 7", id="unknown-detection-category"),
 ]
 
 

@@ -241,9 +241,9 @@ def random_micro_case(rng, force_ties=False):
     return gts, dets, cfg
 
 
-def assert_matches_reference(gts, dets, cfg):
-    result = evaluate(gts, dets, cfg)
-    ref = evaluate_reference(gts, dets, cfg)
+def assert_matches_reference(gts, dets, cfg, categories=None):
+    result = evaluate(gts, dets, cfg, categories)
+    ref = evaluate_reference(gts, dets, cfg, categories)
     for name in ("ap", "ap50", "ap75", "ap_s", "ap_m", "ap_l", "ar"):
         assert getattr(result, name) == pytest.approx(ref[name], abs=1e-9), name
     assert set(result.per_category) == set(ref["per_category"])
@@ -261,6 +261,19 @@ class TestOracleAgreement:
         for _ in range(10):
             gts, dets, cfg = random_micro_case(rng, force_ties=True)
             assert_matches_reference(gts, dets, cfg)
+
+    def test_vocabulary_category_without_records(self, rng):
+        """A vocabulary category with neither ground truth nor detections
+        reads -1 and moves no headline metric."""
+        for _ in range(20):
+            gts, dets, cfg = random_micro_case(rng)
+            seen = {g.category_id for g in gts} | {d.category_id for d in dets}
+            vocab = sorted(seen) + [max(seen, default=0) + 1]
+            result = evaluate(gts, dets, cfg, vocab)
+            assert result.per_category[vocab[-1]] == -1.0
+            alone = evaluate(gts, dets, cfg)
+            assert replace(result, per_category={}) == replace(alone, per_category={})
+            assert_matches_reference(gts, dets, cfg, vocab)
 
 
 class TestSerialization:

@@ -132,6 +132,20 @@ class TestSimulateDetections:
         (_, dets), = per_res
         assert instance_scale(dets[0].bbox) == pytest.approx(200.0)
 
+    @pytest.mark.parametrize("profile, factor", [
+        pytest.param(DetectorProfile(loc_noise_frac=1000.0), 1.0, id="exp-overflows"),
+        pytest.param(DetectorProfile(loc_noise_growth=1e300, p_detect_decay=1.0), 4096.0,
+                     id="growth-overflows"),
+        pytest.param(DetectorProfile(loc_noise_frac=0.3, p_detect_decay=1.0), 4096.0,
+                     id="exp-underflows"),
+    ])
+    def test_jitter_out_of_float_range_names_the_noise_keys(self, profile, factor):
+        """A value error naming the profile keys and the factor, not a bare
+        OverflowError or a degenerate box."""
+        match = rf"factor {factor}: .*detector\.loc_noise_frac or detector\.loc_noise_growth"
+        with pytest.raises(ValueError, match=match):
+            simulate_detections(generate_dataset(20, 0), PyramidSpec((factor,)), profile)
+
 
 class TestGenerateDataset:
     def test_deterministic(self):

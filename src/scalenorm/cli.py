@@ -6,10 +6,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from . import dataio
-from .config import AppConfig, apply_override, parse_factors, parse_range
+from .config import AppConfig, apply_override, parse_range
 from .evaluation import ap_by_scale_report, evaluate
 from .geometry import ScaleRange
 from .pyramid import stage_histogram
@@ -46,8 +45,6 @@ def main(argv: list[str] | None = None) -> int:
 _SHARED = {
     "--annotations": {"required": True, "help": "COCO annotation JSON"},
     "--snip-table": {"help": "per-resolution range table JSON"},
-    "--factors": {"help": "comma-separated pyramid factors"},
-    "--range": {"dest": "scale_range", "help": "scale range 'lower,upper'"},
 }
 
 
@@ -82,18 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("partition", _cmd_partition, "split instances into valid/ignored per resolution",
-                "--annotations", "--snip-table", "--factors", "--range")
+                "--annotations", "--snip-table")
     p.add_argument("--policy", choices=("isn", "snip"), default="isn")
 
     p = command("analyze-snip", _cmd_analyze_snip,
                 "trained/ignored scale distributions and overlap",
-                "--annotations", "--snip-table", "--factors", "--range")
+                "--annotations", "--snip-table")
     p.add_argument("--csv", help="also write histogram rows as CSV")
 
-    p = command("fuse", _cmd_fuse, "gate, project, and merge per-resolution detections", "--range")
+    p = command("fuse", _cmd_fuse, "gate, project, and merge per-resolution detections")
     p.add_argument("--dets", required=True, nargs="+", help="tagged detection dumps")
     p.add_argument("--naive", action="store_true", help="disable range gating")
-    p.add_argument("--top-k", type=int, help="cap fused detections per image")
 
     p = command("eval", _cmd_eval, "COCO-style metrics for detections vs annotations",
                 "--annotations")
@@ -108,35 +104,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", type=int, default=50, help="synthetic images for --simulate")
 
     p = command("simulate", _cmd_simulate, "generate a synthetic dataset and detection dumps",
-                "--factors", out_help="output annotations JSON path")
+                out_help="output annotations JSON path")
     p.add_argument("--out-dets", required=True, help="output tagged detections path")
     p.add_argument("--images", type=int, default=100)
     p.add_argument("--categories", type=int, default=3)
     p.add_argument("--crowd-fraction", type=float, default=0.0)
 
     p = command("stage-hist", _cmd_stage_hist, "per-stage valid training-sample counts",
-                "--annotations", "--factors", "--range", out_help="output CSV path")
+                "--annotations", out_help="output CSV path")
     p.add_argument("--json", dest="json_out", help="also write histogram as JSON")
     return parser
 
 
 def _effective_config(args: argparse.Namespace) -> AppConfig:
-    cfg = AppConfig()
-    if getattr(args, "config", None):
-        cfg = AppConfig.from_dict(dataio.load_json(args.config))
-    if getattr(args, "overrides", None):
+    cfg = AppConfig.from_dict(dataio.load_json(args.config)) if args.config else AppConfig()
+    if args.overrides:
         data = cfg.to_dict()
         for assignment in args.overrides:
             apply_override(data, assignment)
         cfg = AppConfig.from_dict(data)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    if getattr(args, "factors", None):
-        cfg = replace(cfg, pyramid=parse_factors(args.factors))
-    if getattr(args, "scale_range", None):
-        cfg = replace(cfg, scale_range=parse_range(args.scale_range))
-    if getattr(args, "top_k", None) is not None:
-        cfg = replace(cfg, fusion_top_k=args.top_k)
     return cfg
 
 

@@ -1,9 +1,9 @@
-"""Application configuration: defaults, JSON config files, flag overrides.
+"""Application configuration: defaults, JSON config files, `--set` overrides.
 
 The default pyramid is {4.0, 2.0, 1.0, 0.5, 0.25} and the default scale range
-[16, 560]. Every field can be overridden by a config file (`--config`) and
-then by command-line flags; the effective configuration is echoed into every
-JSON output for provenance.
+[16, 560]. Every field can be overridden by a config file (`--config`), then by
+`--set dotted.key=value`, then `--seed N` sets both `seed` and `detector.seed`;
+the effective configuration is echoed into every JSON output for provenance.
 
 The JSON form is derived from the dataclass fields and their annotations.
 Reading it is strict at every depth: unknown keys are rejected, sections must
@@ -150,7 +150,3 @@ def parse_range(text: str) -> ScaleRange:
     upper_text = parts[1].strip().lower()
     upper = math.inf if upper_text in ("inf", "none", "") else float(parts[1])
     return ScaleRange(lower, upper)
-
-
-def parse_factors(text: str) -> PyramidSpec:
-    return PyramidSpec(tuple(float(v) for v in text.split(",") if v.strip()))

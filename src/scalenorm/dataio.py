@@ -231,7 +231,8 @@ def tagged_detections_from_records(
 ) -> list[tuple[float, list[Detection]]]:
     """Detections grouped by their scale_factor tag, largest factor first.
 
-    Each group's detections are assigned that group's resolution index.
+    Each group's detections are assigned that group's resolution index:
+    resolution k is the k-th largest factor, as in `PyramidSpec`.
     Untagged records are rejected: fusion needs to know the source resolution.
     """
     contexts = [f"detection #{i}" for i in range(len(records))]
@@ -265,11 +266,13 @@ def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], Eval
     """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}] with
     `EvalResult` fields, an absent one reading -1; `per_category` maps
     category-id strings to numbers."""
-    table = {}
+    table, seen = {}, {}
     for i, rec in enumerate(_records(path, "entries", "lookup file")):
         context = f"lookup entry #{i}"
         lower, upper = _pair(rec, "range", float, context, open_end=True)
         _build(context, ScaleRange, lower, upper)
+        if (first := seen.setdefault((lower, upper), i)) != i:
+            raise DataFormatError(f"{context}: range [{lower}, {upper}] repeats entry #{first}")
         ap = _field(rec, "ap", float, context)
         rest = {name: _field(rec, name, float, context, -1.0) for name in _HEADLINE[1:]}
         per_category = _field(rec, "per_category", dict, context, {})

@@ -100,12 +100,13 @@ class ScaleRange:
 
 @dataclass(frozen=True)
 class PyramidSpec:
-    """Ordered set of image scaling factors, one per pyramid resolution."""
+    """Set of image scaling factors, one per pyramid resolution, held largest
+    first: resolution k is the k-th largest factor."""
 
     factors: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(float(f) for f in self.factors)
+        factors = tuple(sorted((float(f) for f in self.factors), reverse=True))
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("pyramid needs at least one scaling factor")

@@ -41,6 +41,9 @@ from .geometry import (
 STRATEGIES = ("isn", "naive_ms", "single_scale")
 
 _FP_STREAM = 0x5F
+# generate_dataset's images (height, width) and log-uniform instance scale bounds.
+_IMAGE_SIZE = (480, 640)
+_SCALE_BOUNDS = (4.0, 640.0)
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
 _WORD = 0xFFFFFFFF
@@ -243,12 +246,8 @@ def generate_dataset(
     num_images: int,
     seed: int,
     num_categories: int = 3,
-    image_height: int = 480,
-    image_width: int = 640,
     min_instances: int = 1,
     max_instances: int = 20,
-    scale_low: float = 4.0,
-    scale_high: float = 640.0,
     crowd_fraction: float = 0.0,
 ) -> Dataset:
     """Random benchmark dataset: log-uniform instance scales, seeded."""
@@ -265,12 +264,12 @@ def generate_dataset(
     instances = []
     next_id = 1
     for img_id in range(1, num_images + 1):
-        images.append(ImageInfo(img_id, image_height, image_width))
+        images.append(ImageInfo(img_id, *_IMAGE_SIZE))
         count = int(rng.integers(min_instances, max_instances + 1))
         for _ in range(count):
             instances.append(
                 Instance(
-                    bbox=_random_box(rng, scale_low, scale_high, image_height, image_width),
+                    bbox=_random_box(rng, *_SCALE_BOUNDS, *_IMAGE_SIZE),
                     category_id=int(rng.integers(1, num_categories + 1)),
                     iscrowd=bool(rng.random() < crowd_fraction),
                     id=next_id,
@@ -291,21 +290,16 @@ def strategy_detections(
     strategy: str,
     nms_cfg: SoftNmsConfig | None = None,
     top_k: int | None = 100,
-    single_scale_factor: float = 1.0,
 ) -> list[Detection]:
     """Apply a test-time strategy to the detections of `image_ids`, fusing
-    each image on its own; the output is in image id order."""
+    each image on its own; the output is in image id order. Single-scale
+    testing fuses the original image's (factor 1.0) detections ungated."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    nms_cfg = nms_cfg or SoftNmsConfig()
-
     if strategy == "single_scale":
-        # One resolution, ungated: naive fusion over the matching factor.
-        per_resolution = [pair for pair in per_resolution if pair[0] == single_scale_factor][:1]
+        per_resolution = [pair for pair in per_resolution if pair[0] == 1.0][:1]
         if not per_resolution:
-            raise ValueError(
-                f"single_scale factor {single_scale_factor} not among resolutions"
-            )
+            raise ValueError("single_scale factor 1.0 not among resolutions")
 
     gate = scale_range if strategy == "isn" else UNBOUNDED_RANGE
     given = set(image_ids)
@@ -345,21 +339,10 @@ def run_experiment(
     scale_range: ScaleRange,
     profile: DetectorProfile,
     strategy: str,
-    nms_cfg: SoftNmsConfig | None = None,
-    eval_cfg: EvalConfig | None = None,
-    top_k: int | None = 100,
-    single_scale_factor: float = 1.0,
 ) -> EvalResult:
-    """Simulate, apply the strategy, and evaluate: one synthetic experiment."""
+    """Simulate, apply the strategy, and evaluate with the default Soft-NMS,
+    top-k and metrics: one synthetic experiment."""
     per_resolution = simulate_detections(dataset, pyramid, profile)
     image_ids = sorted(img.id for img in dataset.images)
-    fused = strategy_detections(
-        per_resolution,
-        image_ids,
-        scale_range,
-        strategy,
-        nms_cfg,
-        top_k,
-        single_scale_factor,
-    )
-    return evaluate(dataset.instances, fused, eval_cfg, dataset.category_ids())
+    fused = strategy_detections(per_resolution, image_ids, scale_range, strategy)
+    return evaluate(dataset.instances, fused, categories=dataset.category_ids())

@@ -6,9 +6,17 @@ from dataclasses import replace
 
 import pytest
 
-from scalenorm import AppConfig, EvalConfig, SoftNmsConfig, cli
+from scalenorm import (
+    AppConfig, EvalConfig, PyramidSpec, SoftNmsConfig, cli, fuse_multiscale, simulate_detections,
+)
 from scalenorm.cli import main
-from scalenorm.dataio import write_json
+from scalenorm.dataio import (
+    detections_to_records,
+    load_annotations,
+    load_detection_records,
+    tagged_detections_from_records,
+    write_json,
+)
 
 from conftest import RANGE_AP_TABLE
 
@@ -105,6 +113,9 @@ BAD_INPUTS = [
     pytest.param(SEARCH, [{"range": [0, 640], "ap": 37.4, "per_category": {"a": 1}}],
                  "lookup entry #0: per_category must map category ids to finite numbers, "
                  "got {'a': 1}", id="non-id-per-category-key"),
+    pytest.param(SEARCH, [{"range": list(k), "ap": v} for k, v in RANGE_AP_TABLE.items()]
+                 + [{"range": [16, 560], "ap": 30.0}],
+                 "lookup entry #7: range [16.0, 560.0] repeats entry #3", id="repeated-range"),
     pytest.param(ISN_PARTITION, [dict(SNIP_ENTRY, resolution=[0, 0])],
                  "table entry #0: resolution must be at least 1x1, got 0x0",
                  id="isn-partition-reads-table"),
@@ -116,7 +127,7 @@ BAD_INPUTS = [
                  "crowd_fraction must lie in [0, 1], got -1.0", id="negative-crowd-fraction"),
     pytest.param(SIMULATE + ["--categories", "0"], None,
                  "num_categories must be at least 1, got 0", id="no-categories"),
-    pytest.param(["simulate", "--images", "20", "--factors", "4096,1",
+    pytest.param(["simulate", "--images", "20", "--set", "pyramid_factors=[4096, 1]",
                   "--set", "detector.loc_noise_frac=0.3", "--set", "detector.p_detect_decay=1.0",
                   "--out", "OUT", "--out-dets", "OUT2"], None,
                  "localization jitter out of float range at pyramid factor 4096.0: "
@@ -285,15 +296,32 @@ class TestSimulateFuseEvalPipeline:
         ann = tmp_path / "ann.json"
         dets = tmp_path / "dets.json"
         run_cli("simulate", "--images", 5, "--seed", 2, "--out", ann, "--out-dets", dets)
-        from scalenorm.dataio import (
-            load_annotations,
-            load_detection_records,
-            tagged_detections_from_records,
-        )
-
         ds = load_annotations(ann)
         tagged = tagged_detections_from_records(load_detection_records(dets))
         assert ds.instances and len(tagged) == 5
+
+    def test_ascending_pyramid_keeps_resolution_index(self, tmp_path):
+        """Resolution k is the k-th largest factor however the pyramid is
+        given, so `fuse` reads back the index `simulate` wrote, and the CLI
+        round trip fuses exactly as the library does."""
+        ann, dets, fused = (tmp_path / name for name in ("ann.json", "dets.json", "fused.json"))
+        pyramid = ("--set", "pyramid_factors=[1.0, 2.0]")
+        assert run_cli("simulate", "--images", 6, "--seed", 4, *pyramid,
+                       "--out", ann, "--out-dets", dets) == 0
+        assert run_cli("fuse", "--dets", dets, *pyramid, "--out", fused) == 0
+
+        records = load_detection_records(dets)
+        tagged = tagged_detections_from_records(records)
+        assert sorted((f, d.resolution_index) for f, group in tagged for d in group) == sorted(
+            (r["scale_factor"], r["resolution_index"]) for r in records
+        )
+        cfg = AppConfig(pyramid=PyramidSpec((1.0, 2.0))).with_seed(4)
+        per_resolution = simulate_detections(load_annotations(ann), cfg.pyramid, cfg.detector)
+        library = fuse_multiscale(per_resolution, cfg.scale_range, cfg.soft_nms, cfg.fusion_top_k)
+        payload = json.loads(fused.read_text())
+        assert payload["config"]["pyramid_factors"] == [2.0, 1.0]
+        assert {d["resolution_index"] for d in payload["detections"]} == {0, 1}
+        assert payload["detections"] == detections_to_records(library)
 
 
 class TestPartitionCommand:
@@ -301,7 +329,7 @@ class TestPartitionCommand:
         out = tmp_path / "partition.json"
         assert run_cli(
             "partition", "--annotations", annotations, "--policy", "isn",
-            "--factors", "1.0", "--range", "16,560", "--out", out,
+            "--set", "pyramid_factors=[1.0]", "--set", "scale_range=[16, 560]", "--out", out,
         ) == 0
         payload = json.loads(out.read_text())
         (entry,) = payload["partitions"]
@@ -410,7 +438,7 @@ class TestErrorSurface:
         dets = tmp_path / "dets.json"
         write_json(dets, [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
         out = tmp_path / "fused.json"
-        code = run_cli("fuse", "--dets", dets, "--top-k", top_k, "--out", out)
+        code = run_cli("fuse", "--dets", dets, "--set", f"fusion_top_k={top_k}", "--out", out)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config key 'fusion_top_k': ") and err.count("\n") == 1
@@ -420,7 +448,7 @@ class TestErrorSurface:
         dets = tmp_path / "dets.json"
         write_json(dets, [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS])
         out = tmp_path / "fused.json"
-        assert run_cli("fuse", "--dets", dets, "--top-k", "1", "--out", out) == 0
+        assert run_cli("fuse", "--dets", dets, "--set", "fusion_top_k=1", "--out", out) == 0
         assert len(json.loads(out.read_text())["detections"]) == 1
 
     @pytest.mark.parametrize("bbox", [[math.nan, 0, 5, 10], [0, 0, math.inf, 10]])
@@ -437,11 +465,12 @@ class TestErrorSurface:
         assert "non-finite" in err
         assert not (tmp_path / "metrics.json").exists()
 
-    @pytest.mark.parametrize("factors", ["inf,1", "nan,1"])
+    @pytest.mark.parametrize("factors", ["[Infinity, 1]", "[NaN, 1]"], ids=["inf,1", "nan,1"])
     def test_non_finite_factors_rejected(self, tmp_path, annotations, capsys, factors):
         out = tmp_path / "hist.csv"
         code = run_cli(
-            "stage-hist", "--annotations", annotations, "--factors", factors, "--out", out
+            "stage-hist", "--annotations", annotations,
+            "--set", f"pyramid_factors={factors}", "--out", out,
         )
         assert code == 1
         err = capsys.readouterr().err

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from scalenorm import ScaleRange
-from scalenorm.config import AppConfig, apply_override, parse_factors, parse_range
+from scalenorm.config import AppConfig, apply_override, parse_range
 from scalenorm.evaluation import EvalConfig
 from scalenorm.fusion import SoftNmsConfig
 from scalenorm.geometry import PyramidSpec
@@ -143,6 +143,3 @@ class TestParsers:
         assert parse_range("0,inf").upper == math.inf
         with pytest.raises(ValueError):
             parse_range("16")
-
-    def test_factors(self):
-        assert parse_factors("4.0,2.0,1.0").factors == (4.0, 2.0, 1.0)

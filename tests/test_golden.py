@@ -1,7 +1,7 @@
 """Golden digests of the CLI pipeline's artifacts.
 
 The sha256 of every file written by the pipeline below (seed 17, 40 images)
-is pinned in `golden_digests.json`, together with a `fuse --top-k 3` run
+is pinned in `golden_digests.json`, together with a `fuse --set fusion_top_k=3` run
 whose cut binds on 39 of the 40 images, the unrestricted `eval` (JSON and
 CSV), a restricted `eval` on a dataset with 20% crowd regions, and the
 `search --simulate` result on 8 images (once with the defaults, once with a
@@ -71,7 +71,7 @@ def pipeline_digests(workdir: Path) -> dict[str, str]:
         ["simulate", "--images", "40", "--seed", "17", "--out", ann, "--out-dets", dets],
         ["fuse", "--dets", dets, "--out", paths["fused.json"]],
         ["fuse", "--dets", dets, "--naive", "--out", paths["fused_naive.json"]],
-        ["fuse", "--dets", dets, "--top-k", "3", "--out", paths["fused_top3.json"]],
+        ["fuse", "--dets", dets, "--set", "fusion_top_k=3", "--out", paths["fused_top3.json"]],
         ["eval", "--annotations", ann, "--dets", paths["fused.json"],
          "--scale-range", "16,560", "--out", paths["metrics.json"]],
         ["stage-hist", "--annotations", ann, "--out", paths["hist.csv"],

@@ -184,16 +184,11 @@ class TestGenerateDataset:
 
 class TestRunExperiment:
     def test_noiseless_profile_reaches_perfect_ap(self):
-        dataset = generate_dataset(20, 1, scale_low=40.0, scale_high=400.0)
+        generated = generate_dataset(20, 1)
+        kept = [i for i in generated.instances if 40.0 <= instance_scale(i.bbox) <= 400.0]
+        dataset = Dataset(generated.images, kept, generated.categories)
         for strategy in ("isn", "naive_ms", "single_scale"):
-            result = run_experiment(
-                dataset,
-                PYRAMID,
-                WINDOW,
-                NOISELESS,
-                strategy,
-                single_scale_factor=1.0,
-            )
+            result = run_experiment(dataset, PYRAMID, WINDOW, NOISELESS, strategy)
             assert result.ap == 1.0, strategy
 
     def test_unbounded_range_matches_naive(self):
@@ -215,9 +210,7 @@ class TestRunExperiment:
         profile = DetectorProfile(seed=3)
         isn = run_experiment(dataset, PYRAMID, WINDOW, profile, "isn")
         naive = run_experiment(dataset, PYRAMID, WINDOW, profile, "naive_ms")
-        single = run_experiment(
-            dataset, PYRAMID, WINDOW, profile, "single_scale", single_scale_factor=1.0
-        )
+        single = run_experiment(dataset, PYRAMID, WINDOW, profile, "single_scale")
         assert isn.ap >= naive.ap
         assert single.ap <= isn.ap
 
@@ -228,10 +221,9 @@ class TestRunExperiment:
 
     def test_single_scale_requires_matching_factor(self):
         dataset = generate_dataset(2, 1)
+        without_original = PyramidSpec((4.0, 2.0, 0.5))
         with pytest.raises(ValueError, match="single_scale"):
-            run_experiment(
-                dataset, PYRAMID, WINDOW, NOISELESS, "single_scale", single_scale_factor=3.0
-            )
+            run_experiment(dataset, without_original, WINDOW, NOISELESS, "single_scale")
 
 
 class TestProfileValidation:

@@ -1,4 +1,5 @@
-"""Hypothesis properties of fusion, range search and the search's probe path.
+"""Hypothesis properties of fusion, range search, the search's probe path and
+the JSON writer.
 
 Every property runs derandomized, so a failure reproduces on every run.
 Boxes sit on a coarse grid and scores come from a short list, so exact ties
@@ -7,7 +8,14 @@ in the candidate order, duplicate boxes and equal scores are common.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalenorm import (
@@ -29,6 +37,7 @@ from scalenorm import (
     soft_nms,
     strategy_detections,
 )
+from scalenorm.dataio import write_json
 from scalenorm.evaluation import EvalResult
 from scalenorm.fusion import _FusionIndex, _detections
 from scalenorm.simulate import isn_range_evaluator
@@ -214,3 +223,99 @@ class TestSearchProperties:
             fused = strategy_detections(per_resolution, image_ids, window, "isn", nms, top_k)
             want = evaluate(dataset.instances, fused, cfg, dataset.category_ids())
             assert probe(window) == want
+
+
+# JSON leaves as the writers meet them, and the spellings that are easy to get
+# wrong: signed zero, exponents, ints past float64's exact range, bool beside
+# int, non-ASCII, quotes, newlines and `%` in strings.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from((0, 1, -1, 2**53, 2**53 + 1, -(2**53) - 1, 10**20)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 0.0, 1e-07, 1e16, 1e-300, 5e-324, 0.1, 2.0**53)),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(st.sampled_from("a%s\"\\\n\t\x00é☃\U0001f600"), max_size=4),
+)
+json_keys = st.sampled_from(("a", "b", "id", "bbox", "score", "", "%", "%s", "100%", "é", "x\ny"))
+
+
+@st.composite
+def record_lists(draw, leaves=json_scalars):
+    """A list of records that share one key set and one shape per key (a
+    scalar, or a list of a fixed length), then maybe broken in one place: a
+    key dropped, added or renamed, a list resized, or a value replaced by an
+    object."""
+    shape = draw(st.dictionaries(json_keys, st.none() | st.integers(0, 3), max_size=4))
+    records = [
+        {key: draw(leaves if width is None else st.lists(leaves, min_size=width, max_size=width))
+         for key, width in shape.items()}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    rec = draw(st.sampled_from(records))
+    change = draw(st.sampled_from(("none", "none", "drop", "add", "rename", "resize", "nest")))
+    key = draw(st.sampled_from(sorted(rec)) if rec and change != "add" else json_keys)
+    if change == "drop":
+        rec.pop(key, None)
+    elif change == "add":
+        rec[key] = draw(leaves)
+    elif change == "rename" and key in rec:
+        rec[draw(json_keys)] = rec.pop(key)
+    elif change == "resize":
+        rec[key] = draw(st.lists(leaves, max_size=4))
+    elif change == "nest":
+        rec[key] = draw(st.dictionaries(json_keys, leaves, max_size=3))
+    return records
+
+
+json_trees = st.recursive(
+    json_scalars | record_lists(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=12,
+)
+# Shaped like the program's outputs as well: an object holding record lists.
+writer_inputs = st.one_of(
+    json_trees, record_lists(), st.dictionaries(json_keys, record_lists() | json_trees, max_size=4)
+)
+
+
+def _dumps(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+
+
+class TestWriterProperties:
+    @PROPERTY
+    @given(writer_inputs)
+    @example([{}])
+    @example([{"a": []}])
+    @example({"detections": [{"100%": 1, "%s": [0.5, -0.0], "a": "%d"}, {"100%": 2, "%s": [1e-07, 1e16], "a": "%"}]})
+    @example([{"a": True, "b": 2**53 + 1, "c": None}, {"a": 1, "b": -0.0, "c": "é"}])
+    @example({"images": [{"id": 1}], "config": {"x": [{"y": np.float64(0.1)}, {"y": 2}]}})
+    def test_file_is_json_dumps(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.json")
+            write_json(path, obj)
+            with open(path, "rb") as fh:
+                assert fh.read() == _dumps(obj)
+
+    @PROPERTY
+    @given(
+        record_lists(leaves=st.floats(allow_nan=False, allow_infinity=False)).filter(all),
+        st.sampled_from((math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"))),
+        st.sampled_from(("bare", "under a key", "nested")),
+        st.randoms(use_true_random=False),
+    )
+    def test_non_finite_number_raises_and_writes_nothing(self, records, bad, where, random):
+        rec = random.choice(records)
+        key = random.choice(sorted(rec))
+        if isinstance(rec[key], list) and rec[key]:
+            rec[key][random.randrange(len(rec[key]))] = bad
+        else:
+            rec[key] = bad
+        obj = {"bare": records, "under a key": {"detections": records, "n": 1},
+               "nested": {"config": {"a": 1}, "out": [{"detections": records}]}}[where]
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ValueError):
+                write_json(os.path.join(tmp, "out.json"), obj)
+            assert os.listdir(tmp) == []

@@ -321,9 +321,54 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+_SCALARS = (str, int, float, type(None))  # a bool is an int
+_LEAVES = json.JSONEncoder(allow_nan=False, separators=("\n", ":"))  # one leaf per line
+
+
+def _record_list(obj, indent: str) -> str | None:
+    """`obj` laid out as by `json.dumps` at `indent` if it is a non-empty list of
+    dicts with one non-empty set of str keys, each holding scalars or lists of
+    scalars of one length, else None: one `%` template, one encoder call per key."""
+    first = obj[0] if type(obj) is list and obj and type(obj[0]) is dict else None
+    if not first or not all(type(k) is str for k in first) or not all(
+            type(rec) is dict and rec.keys() == first.keys() for rec in obj):
+        return None
+    inner, fields, slots = indent + "    ", [], []
+    for key in sorted(first):
+        column = [rec[key] for rec in obj]
+        width = len(column[0]) if type(column[0]) is list else None
+        if width is not None:
+            if not all(type(v) is list and len(v) == width for v in column):
+                return None
+            column = [x for v in column for x in v]
+        if not all(issubclass(t, _SCALARS) for t in set(map(type, column))):
+            return None
+        texts = _LEAVES.encode(column)[1:-1].split("\n")
+        slots.extend([texts] if width is None else [texts[j::width] for j in range(width)])
+        value = "%s" if width is None else (
+            "[" + ",".join([f"\n{inner}  %s"] * width) + f"\n{inner}]" if width else "[]")
+        fields.append(f"{inner}{_LEAVES.encode(key).replace('%', '%%')}: {value}")
+    template = f"{indent}  {{\n" + ",\n".join(fields) + f"\n{indent}  }}"
+    rows = [template % row for row in (zip(*slots) if slots else [()] * len(obj))]
+    return "[\n" + ",\n".join(rows) + f"\n{indent}]"
+
+
+def _json(obj, indent: str = "") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` nested at
+    `indent`. A dict that directly holds a record list is walked key by key;
+    the rest is `json.dumps`, re-indented (a JSON string holds no newline)."""
+    inner = indent + "  "
+    texts = {k: _record_list(v, inner) for k, v in obj.items()} if type(obj) is dict else {}
+    if any(texts.values()) and all(type(k) is str for k in obj):
+        return "{\n" + ",\n".join(f"{inner}{_LEAVES.encode(k)}: {texts[k] or _json(obj[k], inner)}"
+                                   for k in sorted(obj)) + f"\n{indent}}}"
+    return _record_list(obj, indent) or json.dumps(
+        obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+
+
 def write_json(path: str | os.PathLike, obj) -> None:
-    """Canonical, reproducible JSON: sorted keys, fixed layout, no NaN/inf."""
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    """Byte for byte `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`."""
+    _atomic_write(path, _json(obj) + "\n")
 
 
 def write_csv(path: str | os.PathLike, header: tuple, rows: list[tuple]) -> None:

@@ -90,6 +90,15 @@ def _field(rec: dict, key: str, kind: type, context: str, default=_REQUIRED):
     return value if type(value) is kind else kind(value)
 
 
+def _id(rec: dict, key: str, context: str) -> int:
+    """An image or category id: an integer that float64 holds exactly, as the
+    detection table stores it."""
+    value = _field(rec, key, int, context)
+    if abs(value) > 2**53:
+        raise DataFormatError(f"{context}: {key} must be at most 2**53 in magnitude, got {value}")
+    return value
+
+
 def _pair(rec: dict, key: str, kind: type, context: str, open_end: bool = False) -> tuple:
     """Two-item list field of `kind`s; with `open_end` the second may be null
     (an unbounded upper end, given as math.inf)."""
@@ -121,7 +130,7 @@ def dataset_from_dict(data: dict) -> Dataset:
     images = []
     seen_images: set[int] = set()
     for i, rec in enumerate(_field(data, "images", list, "annotation file", [])):
-        img_id = _field(rec, "id", int, f"image #{i}")
+        img_id = _id(rec, "id", f"image #{i}")
         if img_id in seen_images:
             raise DataFormatError(f"image {img_id}: duplicate id")
         seen_images.add(img_id)
@@ -132,7 +141,7 @@ def dataset_from_dict(data: dict) -> Dataset:
         images.append(ImageInfo(img_id, height, width))
 
     categories = [
-        {"id": _field(rec, "id", int, f"category #{i}"),
+        {"id": _id(rec, "id", f"category #{i}"),
          "name": _field(rec, "name", str, f"category #{i}", "")}
         for i, rec in enumerate(_field(data, "categories", list, "annotation file", []))
     ]
@@ -147,10 +156,10 @@ def dataset_from_dict(data: dict) -> Dataset:
             raise DataFormatError(f"annotation {ann_id}: duplicate id")
         seen_anns.add(ann_id)
         context = f"annotation {ann_id}"
-        image_id = _field(rec, "image_id", int, context)
+        image_id = _id(rec, "image_id", context)
         if image_id not in seen_images:
             raise DataFormatError(f"{context}: references missing image {image_id}")
-        category_id = _field(rec, "category_id", int, context)
+        category_id = _id(rec, "category_id", context)
         if cat_ids and category_id not in cat_ids:
             raise DataFormatError(f"{context}: references missing category {category_id}")
         box = _box(rec, context)
@@ -204,9 +213,9 @@ def _scale_factor(rec: dict, context: str, default=None) -> float | None:
 def _detection(rec: dict, context: str, resolution_index: int | None = None) -> Detection:
     """The record's detection; a given `resolution_index` replaces its own."""
     box = _box(rec, context)
-    category_id = _field(rec, "category_id", int, context)
+    category_id = _id(rec, "category_id", context)
     score = _field(rec, "score", float, context)
-    image_id = _field(rec, "image_id", int, context)
+    image_id = _id(rec, "image_id", context)
     own_index = _field(rec, "resolution_index", int, context, -1)
     return _build(context, Detection, box, category_id, score, image_id,
                   own_index if resolution_index is None else resolution_index)

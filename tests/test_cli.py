@@ -85,6 +85,15 @@ BAD_INPUTS = [
                  "detection #0: score must be a finite number, got '0.5'", id="string-score"),
     pytest.param(FUSE, [dict(PERFECT_DETECTIONS[0], image_id=1.7, scale_factor=1.0)],
                  "detection #0: image_id must be an integer, got 1.7", id="fractional-image-id"),
+    pytest.param(FUSE, [dict(d, image_id=2**53 + 1, scale_factor=1.0) for d in PERFECT_DETECTIONS],
+                 "detection #0: image_id must be at most 2**53 in magnitude, got 9007199254740993",
+                 id="image-id-past-float64"),
+    pytest.param(EVAL, [PERFECT_DETECTIONS[0], dict(PERFECT_DETECTIONS[1], category_id=-2**53 - 1)],
+                 "detection #1: category_id must be at most 2**53 in magnitude, "
+                 "got -9007199254740993", id="category-id-past-float64"),
+    pytest.param(STAGE_HIST, with_image(id=2**53 + 1),
+                 "image #0: id must be at most 2**53 in magnitude, got 9007199254740993",
+                 id="image-id-past-float64-in-annotations"),
     pytest.param(EVAL, [dict(PERFECT_DETECTIONS[0], bbox=["10", 10, 100, 100])],
                  "detection #0: bbox must be four numbers [x, y, w, h], got ['10', 10, 100, 100]",
                  id="string-coordinate"),

@@ -58,6 +58,31 @@ class TestAnnotationIngest:
         with pytest.raises(DataFormatError, match="duplicate id"):
             dataset_from_dict(data)
 
+    def test_ids_up_to_2_to_the_53_kept(self):
+        big = 2**53
+        data = {
+            "images": [dict(MINIMAL["images"][0], id=big)],
+            "annotations": [dict(MINIMAL["annotations"][0], image_id=big, category_id=big)],
+            "categories": [{"id": big, "name": "object"}],
+        }
+        inst = dataset_from_dict(data).instances[0]
+        assert (inst.image_id, inst.category_id) == (big, big)
+
+    @pytest.mark.parametrize("records, field, context", [
+        ("images", "id", "image #0"),
+        ("categories", "id", "category #0"),
+        ("annotations", "image_id", "annotation 10"),
+        ("annotations", "category_id", "annotation 10"),
+    ])
+    def test_id_past_float64_names_record_and_field(self, records, field, context):
+        """The float64 detection table would round an id beyond 2**53."""
+        data = dict(MINIMAL, **{records: [dict(MINIMAL[records][0], **{field: 2**53 + 1})]})
+        with pytest.raises(DataFormatError) as err:
+            dataset_from_dict(data)
+        assert str(err.value) == (
+            f"{context}: {field} must be at most 2**53 in magnitude, got 9007199254740993"
+        )
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

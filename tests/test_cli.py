@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -549,10 +551,15 @@ class TestErrorSurface:
         assert outs[2].read_bytes() == outs[0].read_bytes()
 
     def test_console_entry_point(self, tmp_path):
+        # The child process does not get pytest's `pythonpath`, so it is told
+        # where the package lives: the checkout's `src` comes first.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "scalenorm", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "partition" in result.stdout and "stage-hist" in result.stdout

@@ -15,12 +15,15 @@ index into BUCKET_NAMES) and scale, and its candidates: the ground truth of
 its unit at or above the lowest threshold, the only ones it can ever match,
 read from one IoU matrix per image. It depends on neither scores nor ignore
 flags, so both passes of `ap_by_scale_report` share it and range search
-reuses it for every probe. Matching walks just the candidates and fills one
-lane per (area bucket, IoU threshold); a unit without candidates is never
-walked. All lanes of a category share one stable score ranking, in which
-absorbed detections (and unmatched ones outside the bucket) stay masked: they
-add to neither the TP nor the FP count and their precision is 0, so the AP
-and recall are those of the ranking without them.
+reuses it for every probe. Range search also remembers each category's AP
+and recall by the category's fused row ids and scores, on which alone they
+depend, so a probe rescores only the categories its range changed. Matching
+walks just the candidates and fills one lane per (area bucket, IoU
+threshold); a unit without candidates is never walked. All lanes of a
+category share one stable score ranking, in which absorbed detections (and
+unmatched ones outside the bucket) stay masked: they add to neither the TP
+nor the FP count and their precision is 0, so the AP and recall are those of
+the ranking without them.
 
 AP and final recall land in two (category, bucket, threshold) arrays that
 start at -1, the mark of a lane without positives; each headline metric is
@@ -249,15 +252,24 @@ def _mean_defined(values: np.ndarray) -> float:
     return sum(defined) / len(defined) if defined else -1.0
 
 
-def _score(gt_units: dict, det_units: dict, vocab: list[int], cfg: EvalConfig) -> EvalResult:
+def _score(
+    gt_units: dict, det_units: dict, vocab: list[int], cfg: EvalConfig,
+    memo: tuple[dict, list] | None = None,
+) -> EvalResult:
     """The evaluation core: match each unit of the two prepared sides, fill
-    the (category, bucket, threshold) AP and recall arrays, and average."""
+    the (category, bucket, threshold) AP and recall arrays, and average.
+    `memo` pairs a dict with a key per category of `vocab`; a category whose
+    key the dict holds takes its AP and recall rows from it."""
     thresholds = cfg.iou_thresholds
     grid = np.linspace(0.0, 1.0, cfg.recall_points)
     keys = sorted(gt_units.keys() | det_units.keys())  # image order within a category
     aps, recs = np.full((2, len(vocab), len(BUCKET_NAMES), len(thresholds)), -1.0)
+    seen, memo_keys = memo or ({}, range(len(vocab)))
 
     for c, cat in enumerate(vocab):
+        if memo_keys[c] in seen:
+            aps[c], recs[c] = seen[memo_keys[c]]
+            continue
         units = [
             (gt_units.get(k, ([], [[]] * len(BUCKET_NAMES))), det_units.get(k, ([], [], [])))
             for k in keys if k[1] == cat
@@ -284,6 +296,7 @@ def _score(gt_units: dict, det_units: dict, vocab: list[int], cfg: EvalConfig) -
                 start = stop
         order = np.argsort(-scores, kind="stable")
         aps[c, has], recs[c, has] = _pr_summary(order, is_tp[has], is_ig[has], n_positive, grid)
+        seen[memo_keys[c]] = aps[c], recs[c]
 
     # The lane of the threshold equal to 0.5 (0.75), or no lane: its mean is -1.
     lane = {v: [t for t, x in enumerate(thresholds) if math.isclose(x, v, abs_tol=1e-9)][:1]

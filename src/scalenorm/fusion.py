@@ -18,7 +18,10 @@ changes only scores, a subset of a stable sort is still sorted and a
 submatrix of an elementwise kernel has the same bits, so a probe equals
 fusing its rows alone. The public functions build an index over their own
 range and probe it once; range search probes one index over the whole
-dataset. `Detection` records are built only for the output.
+dataset. A block's survivors and final scores depend only on which of its
+rows are in range, so the index remembers them by that mask, and a probe
+runs the greedy loop only for the blocks its range changed. `Detection`
+records are built only for the output.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ class _FusionIndex:
             scales.append(scale[inside])
         self.table, self.scale = np.concatenate(tables), np.concatenate(scales)
         self.cfg = cfg or SoftNmsConfig()
+        self._picks: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property  # not needed by gate_predictions
     def _blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -110,19 +114,21 @@ class _FusionIndex:
         """Soft-NMS over the rows whose scale is in `scale_range`: row ids and
         rows, final scores, of each image's top `top_k` survivors in candidate order."""
         inside = scale_range.contains(self.scale)
-        kept, final = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        for rows, decay in self._blocks:
-            scores = self.table[rows, _SCORE]
+        kept = [(np.empty(0, dtype=np.intp), np.empty(0))]
+        for b, (rows, decay) in enumerate(self._blocks):
             active = inside[rows]
-            picks = []
-            while active[i := int(np.where(active, scores, -1.0).argmax())]:
-                picks.append(i)
-                active[i] = False
-                np.multiply(scores, decay[i], out=scores, where=active)
-                active &= scores >= self.cfg.score_floor
-            kept.append(rows[picks])
-            final.append(scores[picks])
-        rows, scores = np.concatenate(kept), np.concatenate(final)
+            key = (b, active.tobytes())
+            if key not in self._picks:
+                scores = self.table[rows, _SCORE]
+                picks = []
+                while active[i := int(np.where(active, scores, -1.0).argmax())]:
+                    picks.append(i)
+                    active[i] = False
+                    np.multiply(scores, decay[i], out=scores, where=active)
+                    active &= scores >= self.cfg.score_floor
+                self._picks[key] = rows[picks], scores[picks]
+            kept.append(self._picks[key])
+        rows, scores = (np.concatenate(a) for a in zip(*kept))
         picked = self.table[rows]
         picked[:, _SCORE] = scores
         order = np.lexsort(_order_keys(picked))

@@ -29,6 +29,7 @@ from .evaluation import EvalConfig, EvalResult, _DetectionRows, _ground_truth, _
 from .fusion import SoftNmsConfig, UNBOUNDED_RANGE, fuse_multiscale, gate_predictions, soft_nms
 from .fusion import _FusionIndex
 from .geometry import (
+    _CATEGORY,
     _SCORE,
     BBox,
     Detection,
@@ -325,10 +326,14 @@ def isn_range_evaluator(
     index = _FusionIndex(per_resolution, hull, nms_cfg)
     rows = _DetectionRows(index.table, gt_images, eval_cfg)
     vocab = dataset.category_ids()
+    memo: dict = {}  # AP and recall rows of a category, by its fused row ids and scores
 
     def probe(rng: ScaleRange) -> EvalResult:
         ids, fused = index.probe(rng, top_k)
-        return _score(gt_units, rows.units(ids, fused[:, _SCORE], eval_cfg), vocab, eval_cfg)
+        masks = [fused[:, _CATEGORY] == cat for cat in vocab]
+        keys = [(cat, ids[m].tobytes(), fused[m, _SCORE].tobytes()) for cat, m in zip(vocab, masks)]
+        units = rows.units(ids, fused[:, _SCORE], eval_cfg)
+        return _score(gt_units, units, vocab, eval_cfg, (memo, keys))
 
     return probe
 

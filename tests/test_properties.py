@@ -134,7 +134,7 @@ class TestFusionProperties:
     def test_probing_one_index_equals_fusing(self, stack, windows, cfg, top_k):
         hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
         index = _FusionIndex(stack, hull, cfg)
-        for window in windows:
+        for window in windows + windows[::-1]:  # repeats are served from the index's memo
             rows, fused = index.probe(window, top_k)
             assert (index.table[rows, :4] == fused[:, :4]).all()
             assert _detections(fused) == fuse_multiscale(stack, window, cfg, top_k)
@@ -150,7 +150,7 @@ class TestFusionProperties:
         images, stack = case
         hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
         index = _FusionIndex(stack, hull, cfg)
-        for window in windows:
+        for window in windows + windows[::-1]:
             _, fused = index.probe(window, top_k)
             assert _detections(fused) == [
                 d for image in sorted(images) for d in fuse_multiscale(
@@ -219,7 +219,7 @@ class TestSearchProperties:
         image_ids = sorted(img.id for img in dataset.images)
         hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
         probe = isn_range_evaluator(dataset, per_resolution, hull, nms, top_k, cfg)
-        for window in windows:
+        for window in windows + windows[::-1]:  # repeats are served from the memos
             fused = strategy_detections(per_resolution, image_ids, window, "isn", nms, top_k)
             want = evaluate(dataset.instances, fused, cfg, dataset.category_ids())
             assert probe(window) == want

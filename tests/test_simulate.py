@@ -9,18 +9,23 @@ from oracles import simulate_reference
 from scalenorm import (
     BBox,
     DetectorProfile,
+    EvalConfig,
     Instance,
     PyramidSpec,
     ScaleRange,
+    SoftNmsConfig,
     UNBOUNDED_RANGE,
     detection_probability,
     generate_dataset,
     run_experiment,
     simulate_detections,
 )
+from scalenorm import evaluation
 from scalenorm.dataio import Dataset, ImageInfo
 from scalenorm.geometry import instance_scale, project_box
-from scalenorm.simulate import _factor_key, _pcg64_states, localization_noise, octaves_outside_band
+from scalenorm.simulate import (
+    _factor_key, _pcg64_states, isn_range_evaluator, localization_noise, octaves_outside_band,
+)
 
 PYRAMID = PyramidSpec((4.0, 2.0, 1.0, 0.5, 0.25))
 WINDOW = ScaleRange(16.0, 560.0)
@@ -224,6 +229,26 @@ class TestRunExperiment:
         without_original = PyramidSpec((4.0, 2.0, 0.5))
         with pytest.raises(ValueError, match="single_scale"):
             run_experiment(dataset, without_original, WINDOW, NOISELESS, "single_scale")
+
+
+class TestIsnRangeEvaluator:
+    def test_repeated_range_is_scored_from_the_memo(self, monkeypatch):
+        dataset = generate_dataset(3, 5)
+        per_resolution = simulate_detections(dataset, PYRAMID, DetectorProfile(seed=5))
+        probe = isn_range_evaluator(
+            dataset, per_resolution, ScaleRange(0.0, 640.0), SoftNmsConfig(), 100, EvalConfig()
+        )
+        calls = {"_pr_summary": 0, "_match_unit": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(evaluation, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(evaluation, name, counted)
+        first = probe(WINDOW)
+        assert calls["_pr_summary"] and calls["_match_unit"]
+        before = dict(calls)
+        assert probe(WINDOW) == first
+        assert calls == before
 
 
 class TestProfileValidation:

@@ -462,6 +462,23 @@ def _boxes(draw, count, span=60.0):
     return [BBox(draw(coord), draw(coord), draw(size), draw(size)) for _ in range(count)]
 
 
+# The default set; one threshold; a set ending at 1.0; and sets of IoUs that
+# the boxes of `_exact_iou_box` produce exactly.
+THRESHOLD_SETS = st.sampled_from((
+    EvalConfig().iou_thresholds, (0.5,), (0.7,), (0.5, 0.75, 1.0), (1 / 3, 0.5),
+    (0.25, 0.5, 0.75),
+))
+
+
+def _exact_iou_box(draw, box):
+    """A box whose IoU with `box` (integer coordinates) is exactly 1, 3/4,
+    1/2, 1/4 (narrowed from the right) or 1/3 (shifted right by half its width)."""
+    f = draw(st.sampled_from((1.0, 0.75, 0.5, 0.25, "shift")))
+    if f == "shift":
+        return BBox(box.x + box.w / 2, box.y, box.w, box.h)
+    return BBox(box.x, box.y, box.w * f, box.h)
+
+
 @st.composite
 def eval_cases(draw, distinct_scores=False):
     n_images = draw(st.integers(1, 3))
@@ -470,7 +487,12 @@ def eval_cases(draw, distinct_scores=False):
         for box in _boxes(draw, draw(st.integers(0, 4))):
             crowd = draw(st.booleans()) and draw(st.booleans())  # about one in four
             gts.append(Instance(box, draw(st.integers(1, 2)), crowd, len(gts) + 1, img))
-        for box in _boxes(draw, draw(st.integers(0, 5))):
+        boxes = _boxes(draw, draw(st.integers(0, 5)))
+        image_gts = [g.bbox for g in gts if g.image_id == img]
+        if image_gts:
+            boxes += [_exact_iou_box(draw, draw(st.sampled_from(image_gts)))
+                      for _ in range(draw(st.integers(0, 2)))]
+        for box in boxes:
             dets.append(Detection(box, draw(st.integers(1, 2)), 0.0, img))
     if distinct_scores:
         ranks = draw(st.permutations(range(len(dets))))
@@ -480,6 +502,8 @@ def eval_cases(draw, distinct_scores=False):
     dets = [replace(d, score=s) for d, s in zip(dets, scores)]
     restriction = draw(st.sampled_from((None, ScaleRange(8.0, 40.0), ScaleRange(0.0, 25.0))))
     cfg = EvalConfig(
+        iou_thresholds=draw(THRESHOLD_SETS),
+        recall_points=draw(st.sampled_from((2, 11, 101))),
         max_dets=draw(st.sampled_from((1, 2, 100))),
         scale_restriction=restriction,
         small_area=draw(st.sampled_from((32.0**2, 20.0**2))),

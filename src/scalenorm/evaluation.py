@@ -8,18 +8,19 @@ scale restriction) can absorb detections without producing true or false
 positives. Average precision interpolates precision at evenly spaced recall
 points (101 by default) and averages over IoU thresholds and categories.
 
-Evaluation joins two prepared sides. The ground-truth side holds each
-(image, category) unit's crowd flags and, per area bucket, its ignore flags.
-The detection side holds each detection row's image, category, bucket (an
-index into BUCKET_NAMES) and scale, and its candidates: the ground truth of
-its unit at or above the lowest threshold, the only ones it can ever match,
-read from one IoU matrix per image. It depends on neither scores nor ignore
-flags, so both passes of `ap_by_scale_report` share it and range search
-reuses it for every probe. Range search also remembers each category's AP
-and recall by the category's fused row ids and scores, on which alone they
-depend, so a probe rescores only the categories its range changed. Matching
-walks just the candidates and fills one lane per (area bucket, IoU
-threshold); a unit without candidates is never walked. All lanes of a
+Evaluation joins two prepared sides, arrays that no score moves, so both
+passes of `ap_by_scale_report` and every probe of a range search share them:
+a per-instance ground-truth index (crowd flags, a (bucket, instance) ignore
+matrix, each category's positives per bucket), and each detection row's
+image, category, bucket, scale and candidates, the ground truth of its unit
+at or above the lowest threshold. Scoring sorts the rows in the restriction
+into (category, image, rank) order and cuts each unit to max_dets. If no
+detection of a unit has two or more candidates, it is matched in closed form,
+every lane at once: a detection whose candidate clears the lanes [0, k)
+matches on [lo, k), lo being 0 for a crowd candidate and else the largest k
+of the earlier detections on it. Other units are walked greedily, lane by
+lane. Range search remembers each category's AP and recall by its fused row
+ids and scores and drops a remembered category's rows first. All lanes of a
 category share one stable score ranking, in which absorbed detections (and
 unmatched ones outside the bucket) stay masked: they add to neither the TP
 nor the FP count and their precision is 0, so the AP and recall are those of
@@ -42,7 +43,7 @@ import numpy as np
 
 from .geometry import (
     _CATEGORY, _H, _IMAGE, _SCORE, _W, UNBOUNDED_RANGE, Detection, Instance, ScaleRange,
-    _detection_table, instance_scale, iou_matrix, to_corners,
+    _detection_table, iou_matrix, to_corners,
 )
 
 BUCKET_NAMES = ("all", "small", "medium", "large")
@@ -113,71 +114,60 @@ class EvalResult:
         return rows
 
 
-def _ground_truth(gts: list[Instance], cfg: EvalConfig) -> tuple[dict, dict]:
-    """The ground-truth side: per image, (corner rows, categories, position
-    of each in its unit); per unit, (crowd flags, ignore flags per bucket)."""
-    restrict = cfg.scale_restriction or UNBOUNDED_RANGE
-    by_image: dict[int, list[tuple]] = {}
-    units: dict[tuple[int, int], tuple[list[bool], list[list[bool]]]] = {}
-    for g in gts:
-        crowd, ignore = units.setdefault(
-            (g.image_id, g.category_id), ([], [[] for _ in BUCKET_NAMES])
-        )
-        b = g.bbox
-        by_image.setdefault(g.image_id, []).append((b.x, b.y, b.w, b.h, g.category_id, len(crowd)))
-        crowd.append(bool(g.iscrowd))
-        base = crowd[-1] or not restrict.contains(instance_scale(b))
-        bucket = cfg._bucket(b.area)
-        for i, flags in enumerate(ignore):  # ignored, or outside a bucket but "all"
-            flags.append(base or i not in (0, bucket))
-    images = {}
-    for img, rows in by_image.items():
-        a = np.array(rows)
-        images[img] = (to_corners(a[:, :4]), a[:, 4], a[:, 5].astype(int).tolist())
-    return images, units
+class _GroundTruth:
+    """Per instance in input order: image, category (index into `vocab`, or
+    len(vocab)), corners, crowd flag, (bucket, instance) ignore matrix; per
+    category (plus an all-0 row past `vocab`) and bucket, the positives."""
+
+    __slots__ = ("vocab", "images", "cats", "corners", "crowd", "ignore", "positives", "flags")
+
+    def __init__(self, gts: list[Instance], vocab: list[int], cfg: EvalConfig):
+        a = np.array([(g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h, g.image_id, g.category_id,
+                       g.iscrowd) for g in gts], dtype=float).reshape(-1, 7)
+        self.vocab, self.images, self.corners = vocab, a[:, 4], to_corners(a[:, :4])
+        self.cats, self.crowd = self.category_index(a[:, 5]), a[:, 6] != 0
+        area, restrict = a[:, 2] * a[:, 3], cfg.scale_restriction or UNBOUNDED_RANGE
+        b = np.arange(len(BUCKET_NAMES))[:, None]  # ignored, or outside a bucket but "all"
+        self.ignore = (self.crowd | ~restrict.contains(np.sqrt(area))
+                       | ((b != cfg._bucket(area)) & (b != 0)))
+        self.positives = np.zeros((len(vocab) + 1, len(BUCKET_NAMES)), dtype=int)
+        np.add.at(self.positives, self.cats, ~self.ignore.T & (self.cats < len(vocab))[:, None])
+        self.flags = self.crowd.tolist(), self.ignore.tolist()  # for `_match_unit`
+
+    def category_index(self, cats: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self.vocab, cats)
+        return np.where(np.append(self.vocab, np.nan)[at] == cats, at, len(self.vocab))
 
 
 class _DetectionRows:
-    """The detection side over the rows of a detection table: each row's
-    image, category, bucket and scale, and its candidates (best IoU,
-    [(position in the unit, IoU), ...] in position order) when it has any."""
+    """Per row of a detection table: image, category index, bucket (index
+    into BUCKET_NAMES), scale, count of candidates (see above), the best one's
+    IoU and lane count (thresholds at or below that IoU), and the instance of
+    the one candidate or, in `multi`, [(instance, IoU), ...] of many."""
 
-    __slots__ = ("images", "cats", "buckets", "scale", "candidates")
+    __slots__ = ("images", "cats", "buckets", "scale", "count", "single", "iou", "lanes", "multi")
 
-    def __init__(self, table: np.ndarray, gt_images: dict, cfg: EvalConfig):
-        images, cats = table[:, _IMAGE].astype(int), table[:, _CATEGORY].astype(int)
+    def __init__(self, table: np.ndarray, truth: _GroundTruth, cfg: EvalConfig):
+        self.images, self.cats = table[:, _IMAGE], truth.category_index(table[:, _CATEGORY])
         area = table[:, _W] * table[:, _H]
-        self.images, self.cats = images.tolist(), cats.tolist()
-        self.buckets = cfg._bucket(area).tolist()
-        self.scale = np.sqrt(area)  # instance_scale, bit for bit
-        corners = to_corners(table[:, :4])
-        candidates: dict[int, list[tuple[int, float]]] = {}
-        for img in gt_images.keys() & set(self.images):
-            gt_corners, gt_cats, positions = gt_images[img]
-            rows = np.flatnonzero(images == img)
-            ious = iou_matrix(corners[rows], gt_corners)
-            hits = (ious >= cfg.iou_thresholds[0]) & (cats[rows, None] == gt_cats)
-            rows = rows.tolist()
-            for r, k, v in zip(*(a.tolist() for a in np.nonzero(hits)), ious[hits].tolist()):
-                candidates.setdefault(rows[r], []).append((positions[k], v))
-        self.candidates = {r: (max(v for _, v in c), c) for r, c in candidates.items()}
+        self.buckets, self.scale = cfg._bucket(area), np.sqrt(area)  # instance_scale, bit for bit
+        self.count, self.single = np.zeros((2, len(table)), dtype=int)
+        self.iou, self.multi = np.zeros(len(table)), {}
+        for img in set(truth.images.tolist()) & set(self.images.tolist()):
+            rows, gts = np.flatnonzero(self.images == img), np.flatnonzero(truth.images == img)
+            ious = iou_matrix(to_corners(table[rows, :4]), truth.corners[gts])
+            hits = (ious >= cfg.iou_thresholds[0]) & (self.cats[rows, None] == truth.cats[gts])
+            self.count[rows], self.single[rows] = hits.sum(axis=1), gts[hits.argmax(axis=1)]
+            self.iou[rows] = np.where(hits, ious, 0.0).max(axis=1)
+            many = self.count[rows] > 1
+            for r, hit, iou in zip(rows[many].tolist(), hits[many], ious[many]):
+                self.multi[r] = list(zip(gts[hit].tolist(), iou[hit].tolist()))
+        self.lanes = np.searchsorted(cfg.iou_thresholds, self.iou, side="right")
 
-    def units(self, rows: np.ndarray, scores: np.ndarray, cfg: EvalConfig) -> dict:
-        """Per (image, category): (scores, buckets, [(detection, best IoU,
-        candidates), ...]) of `rows`, ranked within each unit, scored `scores`."""
-        restrict = cfg.scale_restriction or UNBOUNDED_RANGE
-        keep = restrict.contains(self.scale).tolist()
-        units: dict[tuple[int, int], tuple[list, list, list]] = {}
-        for r, score in zip(rows.tolist(), scores.tolist()):
-            if not keep[r]:
-                continue
-            kept, buckets, cands = units.setdefault((self.images[r], self.cats[r]), ([], [], []))
-            if len(kept) < cfg.max_dets:
-                if r in self.candidates:
-                    cands.append((len(kept), *self.candidates[r]))
-                kept.append(score)
-                buckets.append(self.buckets[r])
-        return units
+    def candidates(self, r: int) -> tuple[float, list[tuple[int, float]]]:
+        """(best IoU, [(instance, IoU), ...]) of row r, which has candidates."""
+        top = self.iou[r].item()
+        return top, self.multi.get(r) or [(self.single[r].item(), top)]
 
 
 def _match_unit(
@@ -196,7 +186,7 @@ def _match_unit(
         if threshold <= floor:  # every match of that lane clears this one: same matches
             is_tp[lane], is_ig[lane] = is_tp[lane - 1], is_ig[lane - 1]
             continue
-        matched = [False] * len(crowd)
+        matched = set()
         floor = math.inf
         for i, top, cands in candidates:
             if top < threshold:
@@ -205,19 +195,40 @@ def _match_unit(
             best_iou = threshold
             for ignored in (False, True):  # ignored ground truth only if no other qualifies
                 for j, v in cands:
-                    if gt_ignore[j] != ignored or (matched[j] and not crowd[j]):
+                    if gt_ignore[j] != ignored or (j in matched and not crowd[j]):
                         continue
                     if v > best_iou or (best == -1 and v == best_iou):
                         best, best_iou = j, v
                 if best != -1:
                     break
             if best != -1:
-                matched[best] = True
+                matched.add(best)
                 floor = min(floor, best_iou)
                 is_tp[lane, i] = not gt_ignore[best]
                 is_ig[lane, i] = gt_ignore[best]
         if floor == math.inf:
             break  # no match at this threshold, so none at a higher one
+
+
+def _match_single(
+    inst: np.ndarray, lanes: np.ndarray, crowd: np.ndarray, ignore: np.ndarray, is_ig: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching in closed form of detections, ranked within their
+    units, whose one candidate inst[d] clears lanes[d] lanes: d matches on the
+    lanes from lo (the most lanes an earlier detection on a non-crowd inst[d]
+    cleared, else 0) up to lanes[d]. Returns (B, T, D) is_tp and is_ig: the
+    `ignore` (bucket, instance) flags on matched lanes, `is_ig` elsewhere."""
+    order = np.argsort(inst, kind="stable")
+    g, k = inst[order], lanes[order]
+    new = np.diff(g, prepend=-1) != 0
+    offset = np.cumsum(new) * (is_ig.shape[1] + 1)  # so each instance's run climbs past the last
+    taken = np.maximum.accumulate(k + offset) - offset
+    lo = np.empty_like(k)
+    lo[order] = np.where(new | crowd[g], 0, np.roll(taken, 1))
+    t = np.arange(is_ig.shape[1])[:, None]
+    matched = (lo <= t) & (t < lanes)
+    ig = ignore[:, None, inst]
+    return matched & ~ig, np.where(matched, ig, is_ig)
 
 
 def _pr_summary(
@@ -253,49 +264,62 @@ def _mean_defined(values: np.ndarray) -> float:
 
 
 def _score(
-    gt_units: dict, det_units: dict, vocab: list[int], cfg: EvalConfig,
-    memo: tuple[dict, list] | None = None,
+    truth: _GroundTruth, dets: _DetectionRows, rows: np.ndarray, scores: np.ndarray,
+    cfg: EvalConfig, memo: tuple[dict, list] | None = None,
 ) -> EvalResult:
-    """The evaluation core: match each unit of the two prepared sides, fill
-    the (category, bucket, threshold) AP and recall arrays, and average.
-    `memo` pairs a dict with a key per category of `vocab`; a category whose
-    key the dict holds takes its AP and recall rows from it."""
-    thresholds = cfg.iou_thresholds
-    grid = np.linspace(0.0, 1.0, cfg.recall_points)
-    keys = sorted(gt_units.keys() | det_units.keys())  # image order within a category
-    aps, recs = np.full((2, len(vocab), len(BUCKET_NAMES), len(thresholds)), -1.0)
-    seen, memo_keys = memo or ({}, range(len(vocab)))
-
-    for c, cat in enumerate(vocab):
+    """The evaluation core: match the ranked rows `rows`, scored `scores`, fill
+    the (category, bucket, threshold) AP and recall arrays, and average. `memo`
+    pairs a dict with a key per vocabulary category; a category whose key it
+    holds takes its AP and recall rows from it, its rows dropped first."""
+    thresholds, positives = cfg.iou_thresholds, truth.positives
+    aps, recs = np.full((2, len(truth.vocab), len(BUCKET_NAMES), len(thresholds)), -1.0)
+    seen, memo_keys = memo or ({}, range(len(truth.vocab)))
+    live = positives[:, 0] > 0  # a category without positives keeps -1 in every lane
+    for c in np.flatnonzero(live).tolist():
         if memo_keys[c] in seen:
             aps[c], recs[c] = seen[memo_keys[c]]
-            continue
-        units = [
-            (gt_units.get(k, ([], [[]] * len(BUCKET_NAMES))), det_units.get(k, ([], [], [])))
-            for k in keys if k[1] == cat
-        ]
-        positives = [(b, n) for b in range(len(BUCKET_NAMES))  # (bucket, ground truth not ignored)
-                     if (n := sum(ignore[b].count(False) for (_, ignore), _ in units))]
-        if not positives:
-            continue  # every lane stays -1
-        has, n_positive = map(list, zip(*positives))
-        scores = np.array([s for _, (kept, _, _) in units for s in kept])
-        det_buckets = np.array([b for _, (_, buckets, _) in units for b in buckets], dtype=int)
-        # One lane per (bucket, threshold); detections are in unit order.
-        is_tp = np.zeros((len(BUCKET_NAMES), len(thresholds), scores.size), dtype=bool)
-        is_ig = np.zeros_like(is_tp)
-        for b in has:
-            if b:  # unmatched detections outside the bucket are ignored
-                is_ig[b] = det_buckets != b
-            start = 0
-            for (crowd, ignore), (kept, _, candidates) in units:
-                stop = start + len(kept)
-                if candidates:
-                    span = (b, slice(None), slice(start, stop))
-                    _match_unit(candidates, crowd, ignore[b], thresholds, is_tp[span], is_ig[span])
-                start = stop
-        order = np.argsort(-scores, kind="stable")
-        aps[c, has], recs[c, has] = _pr_summary(order, is_tp[has], is_ig[has], n_positive, grid)
+            live[c] = False
+    restrict = cfg.scale_restriction or UNBOUNDED_RANGE
+    keep = live[dets.cats[rows]] & restrict.contains(dets.scale[rows])
+    rows, scores = rows[keep], scores[keep]
+    # (category, image, rank) order; a unit, a run of one (category, image),
+    # keeps its first max_dets rows, so units stay numbered 0, 1, ... in order.
+    order = np.lexsort((dets.images[rows], dets.cats[rows]))
+    rows, scores = rows[order], scores[order]
+    cats = dets.cats[rows]
+    start = (np.diff(cats, prepend=-1) != 0) | (np.diff(dets.images[rows], prepend=np.nan) != 0)
+    unit = np.cumsum(start) - 1
+    keep = np.arange(rows.size) - np.flatnonzero(start)[unit] < cfg.max_dets
+    rows, scores, cats, unit, start = rows[keep], scores[keep], cats[keep], unit[keep], start[keep]
+
+    # One lane per (bucket, threshold); unmatched detections outside the bucket are ignored.
+    is_tp, is_ig = np.zeros((2, len(BUCKET_NAMES), len(thresholds), rows.size), dtype=bool)
+    is_ig[1:] = (dets.buckets[rows] != np.arange(1, len(BUCKET_NAMES))[:, None])[:, None]
+    count = dets.count[rows]
+    walk = np.zeros(rows.size, dtype=bool)
+    walk[unit[count > 1]] = True  # units that hold a row with two or more candidates
+    one = (count == 1) & ~walk[unit]
+    if one.any():
+        r = rows[one]
+        is_tp[..., one], is_ig[..., one] = _match_single(
+            dets.single[r], dets.lanes[r], truth.crowd, truth.ignore, is_ig[..., one])
+    crowd, ignore = truth.flags
+    bounds = np.append(np.flatnonzero(start), rows.size).tolist()
+    for u in np.flatnonzero(walk).tolist():
+        a, z = bounds[u], bounds[u + 1]
+        candidates = [(i, *dets.candidates(r)) for i, (r, n) in
+                      enumerate(zip(rows[a:z].tolist(), count[a:z].tolist())) if n]
+        for b in np.flatnonzero(positives[cats[a]]).tolist():
+            span = (b, slice(None), slice(a, z))
+            _match_unit(candidates, crowd, ignore[b], thresholds, is_tp[span], is_ig[span])
+
+    grid = np.linspace(0.0, 1.0, cfg.recall_points)
+    edges = np.searchsorted(cats, np.arange(len(truth.vocab) + 1)).tolist()  # category slices
+    for c in np.flatnonzero(live).tolist():
+        has, span = np.flatnonzero(positives[c]), slice(edges[c], edges[c + 1])
+        order = np.argsort(-scores[span], kind="stable")
+        aps[c, has], recs[c, has] = _pr_summary(
+            order, is_tp[has, :, span], is_ig[has, :, span], positives[c, has], grid)
         seen[memo_keys[c]] = aps[c], recs[c]
 
     # The lane of the threshold equal to 0.5 (0.75), or no lane: its mean is -1.
@@ -309,7 +333,7 @@ def _score(
         ap_m=_mean_defined(aps[:, 2]),
         ap_l=_mean_defined(aps[:, 3]),
         ar=_mean_defined(recs[:, 0]),
-        per_category={cat: _mean_defined(aps[c, 0]) for c, cat in enumerate(vocab)},
+        per_category={cat: _mean_defined(aps[c, 0]) for c, cat in enumerate(truth.vocab)},
     )
 
 
@@ -321,28 +345,20 @@ def _evaluate(
 ) -> list[EvalResult]:
     """One result per config of `passes`, which differ at most in the scale
     restriction: they share the detection side and rank it once."""
-    if categories is not None:
-        vocab = sorted(set(categories))
-        known = set(vocab)
-        for g in gts:
-            if g.category_id not in known:
-                raise EvaluationError(
-                    f"ground-truth instance {g.id} has unknown category {g.category_id}"
-                )
-        for i, d in enumerate(dets):
-            if d.category_id not in known:
-                raise EvaluationError(f"detection #{i}: unknown category {d.category_id}")
-    else:
-        vocab = sorted({g.category_id for g in gts} | {d.category_id for d in dets})
-
-    sides = [_ground_truth(gts, cfg) for cfg in passes]
+    vocab = sorted(set(categories) if categories is not None
+                   else {g.category_id for g in gts} | {d.category_id for d in dets})
+    truths = [_GroundTruth(gts, vocab, cfg) for cfg in passes]
     table = _detection_table(dets)
+    rows = _DetectionRows(table, truths[0], passes[0])
+    if (unknown := np.flatnonzero(truths[0].cats == len(vocab)).tolist()):
+        g = gts[unknown[0]]
+        raise EvaluationError(f"ground-truth instance {g.id} has unknown category {g.category_id}")
+    if (unknown := np.flatnonzero(rows.cats == len(vocab)).tolist()):
+        i = unknown[0]
+        raise EvaluationError(f"detection #{i}: unknown category {dets[i].category_id}")
     ranked = np.argsort(-table[:, _SCORE], kind="stable")
-    rows = _DetectionRows(table, sides[0][0], passes[0])
-    return [
-        _score(gt_units, rows.units(ranked, table[ranked, _SCORE], cfg), vocab, cfg)
-        for cfg, (_, gt_units) in zip(passes, sides)
-    ]
+    return [_score(truth, rows, ranked, table[ranked, _SCORE], cfg)
+            for cfg, truth in zip(passes, truths)]
 
 
 def evaluate(

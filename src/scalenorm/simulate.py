@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .dataio import Dataset, ImageInfo
-from .evaluation import EvalConfig, EvalResult, _DetectionRows, _ground_truth, _score, evaluate
+from .evaluation import EvalConfig, EvalResult, _DetectionRows, _GroundTruth, _score, evaluate
 # benchmark/spans.py traces gate_predictions and soft_nms under this module's names.
 from .fusion import SoftNmsConfig, UNBOUNDED_RANGE, fuse_multiscale, gate_predictions, soft_nms
 from .fusion import _FusionIndex
@@ -320,20 +320,19 @@ def isn_range_evaluator(
     ground truth, the fusion index of the dataset's detections and its rows'
     IoU with the ground truth are prepared once; a probe hands its fused rows
     straight to evaluation."""
-    gt_images, gt_units = _ground_truth(dataset.instances, eval_cfg)
     given = {img.id for img in dataset.images}
     per_resolution = [(f, [d for d in dets if d.image_id in given]) for f, dets in per_resolution]
     index = _FusionIndex(per_resolution, hull, nms_cfg)
-    rows = _DetectionRows(index.table, gt_images, eval_cfg)
     vocab = dataset.category_ids()
+    truth = _GroundTruth(dataset.instances, vocab, eval_cfg)
+    rows = _DetectionRows(index.table, truth, eval_cfg)
     memo: dict = {}  # AP and recall rows of a category, by its fused row ids and scores
 
     def probe(rng: ScaleRange) -> EvalResult:
         ids, fused = index.probe(rng, top_k)
         masks = [fused[:, _CATEGORY] == cat for cat in vocab]
         keys = [(cat, ids[m].tobytes(), fused[m, _SCORE].tobytes()) for cat, m in zip(vocab, masks)]
-        units = rows.units(ids, fused[:, _SCORE], eval_cfg)
-        return _score(gt_units, units, vocab, eval_cfg, (memo, keys))
+        return _score(truth, rows, ids, fused[:, _SCORE], eval_cfg, (memo, keys))
 
     return probe
 

@@ -1,5 +1,5 @@
-"""Hypothesis properties of fusion, range search, the search's probe path and
-the JSON writer.
+"""Hypothesis properties of fusion, range search, the search's probe path,
+closed-form matching and the JSON writer.
 
 Every property runs derandomized, so a failure reproduces on every run.
 Boxes sit on a coarse grid and scores come from a short list, so exact ties
@@ -38,7 +38,7 @@ from scalenorm import (
     strategy_detections,
 )
 from scalenorm.dataio import write_json
-from scalenorm.evaluation import EvalResult
+from scalenorm.evaluation import BUCKET_NAMES, EvalResult, _match_single, _match_unit
 from scalenorm.fusion import _FusionIndex, _detections
 from scalenorm.simulate import isn_range_evaluator
 
@@ -223,6 +223,55 @@ class TestSearchProperties:
             fused = strategy_detections(per_resolution, image_ids, window, "isn", nms, top_k)
             want = evaluate(dataset.instances, fused, cfg, dataset.category_ids())
             assert probe(window) == want
+
+
+@st.composite
+def single_candidate_units(draw):
+    """Units of detections that have one candidate each: per unit up to three
+    instances (crowd, ignored or in one bucket) and up to six ranked
+    detections, several often on one instance, cut to `max_dets`. Each IoU is
+    a threshold or lies between two, so ties with a threshold are common."""
+    thresholds = draw(st.sampled_from((EvalConfig().iou_thresholds, (0.5,), (0.5, 0.75, 1.0))))
+    ious = [v for v in sorted({*thresholds, 0.52, 0.61, 0.77, 0.9, 0.99, 1.0})
+            if v >= thresholds[0]]
+    max_dets = draw(st.sampled_from((1, 2, 3, 100)))
+    crowd, ignore, units = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        first, size = len(crowd), draw(st.integers(1, 3))
+        for _ in range(size):
+            crowd.append(draw(st.booleans()) and draw(st.booleans()))
+            base = crowd[-1] or (draw(st.booleans()) and draw(st.booleans()))  # outside a window
+            bucket = draw(st.integers(1, len(BUCKET_NAMES) - 1))
+            ignore.append([base or b not in (0, bucket) for b in range(len(BUCKET_NAMES))])
+        dets = [(draw(st.integers(first, first + size - 1)), draw(st.sampled_from(ious)),
+                 draw(st.integers(1, len(BUCKET_NAMES) - 1)))
+                for _ in range(draw(st.integers(0, 6)))]
+        units.append(dets[:max_dets])
+    return thresholds, crowd, np.array(ignore, dtype=bool).reshape(-1, len(BUCKET_NAMES)).T, units
+
+
+class TestClosedFormMatching:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(single_candidate_units())
+    def test_closed_form_lanes_equal_the_walk(self, case):
+        thresholds, crowd, ignore, units = case
+        dets = [d for unit in units for d in unit]
+        buckets = np.arange(1, len(BUCKET_NAMES))[:, None]  # unmatched outside one: ignored
+        unmatched = np.zeros((len(BUCKET_NAMES), len(thresholds), len(dets)), dtype=bool)
+        unmatched[1:] = (np.array([b for *_, b in dets], dtype=int) != buckets)[:, None]
+        walk_tp, walk_ig = np.zeros_like(unmatched), unmatched.copy()
+        first = 0
+        for unit in units:
+            candidates = [(i, v, [(g, v)]) for i, (g, v, _) in enumerate(unit)]
+            for b, flags in enumerate(ignore.tolist()):
+                span = (b, slice(None), slice(first, first + len(unit)))
+                _match_unit(candidates, crowd, flags, thresholds, walk_tp[span], walk_ig[span])
+            first += len(unit)
+        inst = np.array([g for g, *_ in dets], dtype=int)
+        counts = np.searchsorted(thresholds, [v for _, v, _ in dets], side="right")
+        is_tp, is_ig = _match_single(inst, counts, np.array(crowd), ignore, unmatched)
+        assert np.array_equal(is_tp, walk_tp)
+        assert np.array_equal(is_ig, walk_ig)
 
 
 # JSON leaves as the writers meet them, and the spellings that are easy to get

@@ -238,14 +238,14 @@ class TestIsnRangeEvaluator:
         probe = isn_range_evaluator(
             dataset, per_resolution, ScaleRange(0.0, 640.0), SoftNmsConfig(), 100, EvalConfig()
         )
-        calls = {"_pr_summary": 0, "_match_unit": 0}
+        calls = {"_pr_summary": 0, "_match_unit": 0, "_match_single": 0}
         for name in calls:
             def counted(*args, _fn=getattr(evaluation, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(evaluation, name, counted)
         first = probe(WINDOW)
-        assert calls["_pr_summary"] and calls["_match_unit"]
+        assert calls["_pr_summary"] and calls["_match_unit"] and calls["_match_single"]
         before = dict(calls)
         assert probe(WINDOW) == first
         assert calls == before

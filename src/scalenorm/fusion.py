@@ -13,15 +13,16 @@ row per detection inside the widest range that will be probed, projected,
 with each row's pre-projection scale, the candidate order (one lexsort) and
 each (image, category) block's matrix of decay factors. A probe masks the
 rows by its range and runs the greedy loop with only those rows active, so a
-pick costs one masked argmax, one row multiply and one floor test. Soft-NMS
-changes only scores, a subset of a stable sort is still sorted and a
-submatrix of an elementwise kernel has the same bits, so a probe equals
-fusing its rows alone. The public functions build an index over their own
-range and probe it once; range search probes one index over the whole
-dataset. A block's survivors and final scores depend only on which of its
-rows are in range, so the index remembers them by that mask, and a probe
-runs the greedy loop only for the blocks its range changed. `Detection`
-records are built only for the output.
+pick costs one masked argmax, one row multiply and one floor test; a block of
+up to `_SMALL_BLOCK` rows runs the same loop over Python lists, with the same
+tie rule and multiplies, so the same bits. Soft-NMS changes only scores, a
+subset of a stable sort is still sorted and a submatrix of an elementwise
+kernel has the same bits, so a probe equals fusing its rows alone. The public
+functions build an index over their own range and probe it once; range search
+probes one index over the whole dataset. A block's survivors and final scores
+depend only on which of its rows are in range, so the index remembers them by
+that mask, and a probe runs the greedy loop only for the blocks its range
+changed. `Detection` records are built only for the output.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .geometry import (
     _CATEGORY, _H, _IMAGE, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, BBox, Detection,
     ScaleRange, _detection_table, iou_matrix, to_corners,
 )
+
+_SMALL_BLOCK = 64  # blocks up to this many rows run `_greedy_lists`, the rest `_greedy_arrays`
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,28 @@ def _decay_factors(overlaps: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
     if cfg.method == "linear":
         return np.where(overlaps > cfg.iou_threshold, 1.0 - overlaps, 1.0)
     return np.where(overlaps > cfg.iou_threshold, 0.0, 1.0)
+
+
+def _greedy_arrays(scores: np.ndarray, decay: np.ndarray, active: np.ndarray, floor: float):
+    # One block's greedy loop: its picks in order (a list) and their final scores.
+    picks = []
+    while active[i := int(np.where(active, scores, -1.0).argmax())]:
+        picks.append(i)
+        active[i] = False
+        np.multiply(scores, decay[i], out=scores, where=active)
+        active &= scores >= floor
+    return picks, scores[picks]
+
+
+def _greedy_lists(scores: np.ndarray, decay: np.ndarray, active: np.ndarray, floor: float):
+    # The same, bit for bit. A score under the floor only falls; the loop ends when it is the top.
+    ids, s, picks, kept = np.flatnonzero(active).tolist(), scores[active].tolist(), [], []
+    while ids and ((top := max(s)) >= floor or not picks):
+        picks.append(i := ids.pop(k := s.index(top)))  # the first maximum, as argmax takes it
+        kept.append(s.pop(k))
+        row = decay[i].tolist()
+        s = [x * row[j] for j, x in zip(ids, s)]
+    return picks, np.array(kept)
 
 
 class _FusionIndex:
@@ -119,14 +144,9 @@ class _FusionIndex:
             active = inside[rows]
             key = (b, active.tobytes())
             if key not in self._picks:
-                scores = self.table[rows, _SCORE]
-                picks = []
-                while active[i := int(np.where(active, scores, -1.0).argmax())]:
-                    picks.append(i)
-                    active[i] = False
-                    np.multiply(scores, decay[i], out=scores, where=active)
-                    active &= scores >= self.cfg.score_floor
-                self._picks[key] = rows[picks], scores[picks]
+                loop = _greedy_lists if len(rows) <= _SMALL_BLOCK else _greedy_arrays
+                picks, scores = loop(self.table[rows, _SCORE], decay, active, self.cfg.score_floor)
+                self._picks[key] = rows[picks], scores
             kept.append(self._picks[key])
         rows, scores = (np.concatenate(a) for a in zip(*kept))
         picked = self.table[rows]

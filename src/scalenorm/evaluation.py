@@ -143,12 +143,16 @@ class _DetectionRows:
     """Per row of a detection table: image, category index, bucket (index
     into BUCKET_NAMES), scale, count of candidates (see above), the best one's
     IoU and lane count (thresholds at or below that IoU), and the instance of
-    the one candidate or, in `multi`, [(instance, IoU), ...] of many."""
+    the one candidate or, in `multi`, [(instance, IoU), ...] of many. A row
+    whose category is outside the vocabulary raises EvaluationError."""
 
     __slots__ = ("images", "cats", "buckets", "scale", "count", "single", "iou", "lanes", "multi")
 
     def __init__(self, table: np.ndarray, truth: _GroundTruth, cfg: EvalConfig):
         self.images, self.cats = table[:, _IMAGE], truth.category_index(table[:, _CATEGORY])
+        if (unknown := np.flatnonzero(self.cats == len(truth.vocab)).tolist()):
+            i = unknown[0]
+            raise EvaluationError(f"detection #{i}: unknown category {int(table[i, _CATEGORY])}")
         area = table[:, _W] * table[:, _H]
         self.buckets, self.scale = cfg._bucket(area), np.sqrt(area)  # instance_scale, bit for bit
         self.count, self.single = np.zeros((2, len(table)), dtype=int)
@@ -348,14 +352,11 @@ def _evaluate(
     vocab = sorted(set(categories) if categories is not None
                    else {g.category_id for g in gts} | {d.category_id for d in dets})
     truths = [_GroundTruth(gts, vocab, cfg) for cfg in passes]
-    table = _detection_table(dets)
-    rows = _DetectionRows(table, truths[0], passes[0])
     if (unknown := np.flatnonzero(truths[0].cats == len(vocab)).tolist()):
         g = gts[unknown[0]]
         raise EvaluationError(f"ground-truth instance {g.id} has unknown category {g.category_id}")
-    if (unknown := np.flatnonzero(rows.cats == len(vocab)).tolist()):
-        i = unknown[0]
-        raise EvaluationError(f"detection #{i}: unknown category {dets[i].category_id}")
+    table = _detection_table(dets)
+    rows = _DetectionRows(table, truths[0], passes[0])
     ranked = np.argsort(-table[:, _SCORE], kind="stable")
     return [_score(truth, rows, ranked, table[ranked, _SCORE], cfg)
             for cfg, truth in zip(passes, truths)]

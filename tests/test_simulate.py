@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from oracles import simulate_reference
 from scalenorm import (
     BBox,
+    Detection,
     DetectorProfile,
     EvalConfig,
+    EvaluationError,
     Instance,
     PyramidSpec,
     ScaleRange,
     SoftNmsConfig,
     UNBOUNDED_RANGE,
     detection_probability,
+    evaluate,
+    fuse_multiscale,
     generate_dataset,
     run_experiment,
     simulate_detections,
@@ -249,6 +253,20 @@ class TestIsnRangeEvaluator:
         before = dict(calls)
         assert probe(WINDOW) == first
         assert calls == before
+
+    def test_a_detection_outside_the_vocabulary_raises_as_evaluate_does(self):
+        # One image, one category-1 box, detections of categories 2 and 1 on it.
+        dataset = tiny_dataset([50.0])
+        box = dataset.instances[0].bbox
+        dets = [Detection(box, 2, 0.9, 1), Detection(box, 1, 0.5, 1)]
+        message = r"^detection #0: unknown category 2$"
+        fused = fuse_multiscale([(1.0, dets)], WINDOW)
+        with pytest.raises(EvaluationError, match=message):
+            evaluate(dataset.instances, fused, categories=dataset.category_ids())
+        with pytest.raises(EvaluationError, match=message):
+            isn_range_evaluator(
+                dataset, [(1.0, dets)], WINDOW, SoftNmsConfig(), 100, EvalConfig()
+            )
 
 
 class TestProfileValidation:

@@ -77,7 +77,7 @@ def _decay_factors(overlaps: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
 
 
 def _greedy_arrays(scores: np.ndarray, decay: np.ndarray, active: np.ndarray, floor: float):
-    # One block's greedy loop: its picks in order (a list) and their final scores.
+    # One block's greedy loop, consuming `scores` and `active`: its picks in order, final scores.
     picks = []
     while active[i := int(np.where(active, scores, -1.0).argmax())]:
         picks.append(i)

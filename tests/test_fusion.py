@@ -14,6 +14,7 @@ from scalenorm import (
     project_box,
     soft_nms,
 )
+from scalenorm import fusion
 
 from conftest import make_detection, random_box
 from oracles import classic_nms, soft_nms_reference
@@ -138,6 +139,42 @@ class TestSoftNms:
             for d, (score, x, y) in zip(got, want):
                 assert d.score == pytest.approx(score, abs=1e-9)
                 assert (d.bbox.x, d.bbox.y) == (x, y)
+
+    @pytest.mark.parametrize("method", ["gaussian", "linear", "hard"])
+    def test_blocks_either_side_of_the_list_loop_cut_match_the_references(
+        self, rng, method, monkeypatch
+    ):
+        # A block of _SMALL_BLOCK rows runs the list loop, one more row the
+        # array loop; both agree with the references as criterion 4 checks.
+        ran = []
+        for name in ("_greedy_lists", "_greedy_arrays"):
+            def counted(*args, _fn=getattr(fusion, name), _name=name):
+                ran.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(fusion, name, counted)
+        cfg = SoftNmsConfig(method=method, sigma=0.5, iou_threshold=0.4)
+        for n, loop in ((fusion._SMALL_BLOCK, "_greedy_lists"),
+                        (fusion._SMALL_BLOCK + 1, "_greedy_arrays")):
+            for _ in range(3):
+                boxes = [random_box(rng, span=400.0) for _ in range(n)]
+                scores = [float(s) for s in rng.uniform(0.05, 1.0, n)]
+                ran.clear()
+                got = soft_nms([make_detection(b, s) for b, s in zip(boxes, scores)], cfg)
+                assert ran == [loop]
+                xywh = [(b.x, b.y, b.w, b.h) for b in boxes]
+                if method == "hard":
+                    keep = classic_nms(xywh, scores, cfg.iou_threshold)
+                    want = [(scores[i], boxes[i].x, boxes[i].y) for i in keep]
+                else:
+                    ref_boxes, ref_scores = soft_nms_reference(
+                        xywh, scores, method, cfg.sigma, cfg.iou_threshold, cfg.score_floor
+                    )
+                    want = list(zip(ref_scores, ref_boxes[:, 0], ref_boxes[:, 1]))
+                want.sort(key=lambda row: -row[0])
+                assert len(got) == len(want)
+                for d, (score, x, y) in zip(got, want):
+                    assert abs(d.score - score) <= 1e-9
+                    assert (d.bbox.x, d.bbox.y) == (x, y)
 
 
 class TestFuseMultiscale:

@@ -1,5 +1,5 @@
-"""Hypothesis properties of fusion, range search, the search's probe path,
-closed-form matching and the JSON writer.
+"""Hypothesis properties of fusion, the two Soft-NMS greedy loops, range
+search, the search's probe path, closed-form matching and the JSON writer.
 
 Every property runs derandomized, so a failure reproduces on every run.
 Boxes sit on a coarse grid and scores come from a short list, so exact ties
@@ -39,7 +39,10 @@ from scalenorm import (
 )
 from scalenorm.dataio import write_json
 from scalenorm.evaluation import BUCKET_NAMES, EvalResult, _match_single, _match_unit
-from scalenorm.fusion import _FusionIndex, _detections
+from scalenorm.fusion import (
+    _SMALL_BLOCK, _FusionIndex, _decay_factors, _detections, _greedy_arrays, _greedy_lists,
+)
+from scalenorm.geometry import iou_matrix, to_corners
 from scalenorm.simulate import isn_range_evaluator
 
 FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25, 3.0)
@@ -158,6 +161,35 @@ class TestFusionProperties:
                     window, cfg, top_k,
                 )
             ]
+
+
+@st.composite
+def greedy_blocks(draw):
+    """One Soft-NMS block: its scores, its decay matrix under a drawn config
+    and the rows a drawn range leaves active. Sizes lie on both sides of
+    `_SMALL_BLOCK`; scores come from a short list that holds 0 and every
+    floor of `nms_configs`, in any order, so equal scores meet equal boxes."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(_SMALL_BLOCK - 3, _SMALL_BLOCK + 4)))
+    boxes = np.array(draw(st.lists(
+        st.tuples(*[st.integers(0, 12)] * 2, *[st.integers(1, 12)] * 2), min_size=n, max_size=n,
+    )), dtype=float) * 4.0
+    scores = np.array(draw(st.lists(st.sampled_from(SCORES + (0.2, 0.001, 0.0)),
+                                    min_size=n, max_size=n)))
+    cfg = draw(nms_configs)
+    active = draw(grid_ranges).contains(np.sqrt(boxes[:, 2] * boxes[:, 3]))
+    corners = to_corners(boxes)
+    return scores, _decay_factors(iou_matrix(corners, corners), cfg), active, cfg.score_floor
+
+
+class TestGreedyLoops:
+    @PROPERTY
+    @given(greedy_blocks())
+    def test_list_loop_equals_array_loop_bit_for_bit(self, block):
+        scores, decay, active, floor = block
+        picks, kept = _greedy_arrays(scores.copy(), decay, active.copy(), floor)
+        got_picks, got_kept = _greedy_lists(scores.copy(), decay, active.copy(), floor)
+        assert got_picks == picks
+        assert got_kept.dtype == kept.dtype and got_kept.tobytes() == kept.tobytes()
 
 
 @st.composite

@@ -10,7 +10,8 @@ import sys
 from . import dataio
 from .config import AppConfig, apply_override, parse_range
 from .evaluation import ap_by_scale_report, evaluate
-from .geometry import ScaleRange
+from .fusion import _FusionIndex
+from .geometry import UNBOUNDED_RANGE, ScaleRange
 from .pyramid import stage_histogram
 from .sampling import (
     DEFAULT_SNIP_TABLE,
@@ -22,7 +23,7 @@ from .sampling import (
     snip_partition,
 )
 from .search import ApOracle, greedy_range_search
-from .simulate import (
+from .simulate import (  # benchmark/spans.py traces strategy_detections under this name too
     generate_dataset, isn_range_evaluator, simulate_detections, strategy_detections,
 )
 
@@ -212,22 +213,11 @@ def _cmd_analyze_snip(args: argparse.Namespace, cfg: AppConfig) -> None:
 
 
 def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> None:
-    records = []
-    for path in args.dets:
-        records.extend(dataio.load_detection_records(path))
-    per_resolution = dataio.tagged_detections_from_records(records)
-    image_ids = sorted(
-        {d.image_id for _, dets in per_resolution for d in dets}
-    )
-    fused = strategy_detections(
-        per_resolution,
-        image_ids,
-        cfg.scale_range,
-        "naive_ms" if args.naive else "isn",
-        cfg.soft_nms,
-        cfg.fusion_top_k,
-    )
-    _emit(args.out, cfg, {"detections": dataio.detections_to_records(fused)})
+    records = [rec for path in args.dets for rec in dataio.load_detection_records(path)]
+    gate = UNBOUNDED_RANGE if args.naive else cfg.scale_range  # as strategy_detections gates
+    index = _FusionIndex(*dataio._detection_rows(records, True), gate, cfg.soft_nms)
+    _, fused = index.probe(gate, cfg.fusion_top_k)
+    _emit(args.out, cfg, {"detections": dataio._table_records(fused)})
 
 
 def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> None:

@@ -1,13 +1,13 @@
 """COCO-format annotation/detection ingestion, emission, and atomic writes.
 
 Annotations use the standard COCO layout (`images`, `annotations`,
-`categories`). Detection dumps are COCO results records
-({image_id, category_id, bbox, score}) optionally tagged with the
-`scale_factor` that produced them; dumps may be a bare JSON list or wrapped
-in an object under a "detections" key. Unknown keys are ignored on read, so
-every emitted artifact re-ingests losslessly. Every record must be an object
-and every field is read by one rule (`KINDS`), naming the record and the field
-on error.
+`categories`). Detection dumps are COCO results records ({image_id,
+category_id, bbox, score}, maybe a resolution_index and the `scale_factor` that
+produced them), a bare JSON list or under a "detections" key; they are checked
+a column at a time into the detection table, which `fuse` fuses and writes its
+records from. Unknown keys are ignored on read, so every emitted artifact
+re-ingests losslessly. Every field is read by one rule (`KINDS`), naming the
+record and field on error; an id or resolution index must be within 2**53.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .evaluation import _HEADLINE, EvalResult
-from .geometry import BBox, Detection, Instance, ScaleRange
+from .geometry import (
+    _RESOLUTION, BBox, Detection, Instance, ScaleRange, _detection_table, _detections)
 from .sampling import SnipEntry, SnipRangeTable
 
 
@@ -90,10 +93,10 @@ def _field(rec: dict, key: str, kind: type, context: str, default=_REQUIRED):
     return value if type(value) is kind else kind(value)
 
 
-def _id(rec: dict, key: str, context: str) -> int:
-    """An image or category id: an integer that float64 holds exactly, as the
+def _id(rec: dict, key: str, context: str, default=_REQUIRED) -> int:
+    """An id or index: an integer that float64 holds exactly, as the
     detection table stores it."""
-    value = _field(rec, key, int, context)
+    value = _field(rec, key, int, context, default)
     if abs(value) > 2**53:
         raise DataFormatError(f"{context}: {key} must be at most 2**53 in magnitude, got {value}")
     return value
@@ -210,15 +213,53 @@ def _scale_factor(rec: dict, context: str, default=None) -> float | None:
     return factor
 
 
-def _detection(rec: dict, context: str, resolution_index: int | None = None) -> Detection:
-    """The record's detection; a given `resolution_index` replaces its own."""
-    box = _box(rec, context)
-    category_id = _id(rec, "category_id", context)
-    score = _field(rec, "score", float, context)
-    image_id = _id(rec, "image_id", context)
-    own_index = _field(rec, "resolution_index", int, context, -1)
-    return _build(context, Detection, box, category_id, score, image_id,
-                  own_index if resolution_index is None else resolution_index)
+def _detection(rec: dict, context: str) -> Detection:
+    return _build(context, Detection, _box(rec, context), _id(rec, "category_id", context),
+                  _field(rec, "score", float, context), _id(rec, "image_id", context),
+                  _id(rec, "resolution_index", context, -1))
+
+
+def _detection_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The detection table of `records` and each row's scale_factor (1.0 if none).
+    Untagged rows keep file order and their resolution index. Tagged, factor groups
+    run largest first, each in file order; resolution k is the k-th largest factor."""
+    rows = _column_rows(records, tagged)
+    if rows is None:  # the per-record rules raise the first fault; tagged, all tags go first
+        pairs = [(rec, f"detection #{i}") for i, rec in enumerate(records)]
+        for rec, context in pairs if tagged else ():
+            _scale_factor(rec, context, _REQUIRED)
+        dets = [(_scale_factor(*pair, 1.0), _detection(*pair)) for pair in pairs]
+        rows = _detection_table([d for _, d in dets]), np.array([f for f, _ in dets])
+    table, factors = rows
+    if tagged:
+        order = np.argsort(-factors, kind="stable")
+        table, factors = table[order], factors[order]
+        table[:, _RESOLUTION] = np.cumsum(np.diff(factors, prepend=factors[:1]) != 0)
+    return table, factors
+
+
+def _column_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_detection_rows` in file order, checked a column at a time: the `KINDS`
+    tests and the id bound on lists, box and score checks on arrays; or None."""
+    n = len(records)
+    if not {dict}.issuperset(map(type, records)):
+        return None
+    ints = [rec.get(key, default) for key, default in (  # the category, resolution, image columns
+        ("category_id", None), ("resolution_index", -1), ("image_id", None)) for rec in records]
+    flat = [v for rec in records if type(b := rec.get("bbox")) is list and len(b) == 4 for v in b]
+    numbers = flat + [rec.get("score") for rec in records] + [
+        rec.get("scale_factor", None if tagged else 1.0) for rec in records]
+    if not (len(flat) == 4 * n and {int}.issuperset(map(type, ints))
+            and _NUMBER.issuperset(map(type, numbers)) and max(map(abs, ints), default=0) <= 2**53):
+        return None
+    try:
+        values = np.array(numbers, float)
+    except OverflowError:  # an integer past float range
+        return None
+    box, score, factors = values[:4 * n].reshape(n, 4), values[4 * n:5 * n], values[5 * n:]
+    if (np.isfinite(values).all() and (box[:, :2] >= 0).all() and (box[:, 2:] > 0).all()
+            and ((score >= 0) & (score <= 1)).all() and (factors > 0).all()):
+        return np.column_stack((box, score, np.array(ints, float).reshape(3, n).T)), factors
 
 
 def load_detection_records(path: str | os.PathLike) -> list[dict]:
@@ -227,12 +268,7 @@ def load_detection_records(path: str | os.PathLike) -> list[dict]:
 
 def load_detections(path: str | os.PathLike) -> list[Detection]:
     """Flat detection list; scale_factor tags are checked, then dropped."""
-    dets = []
-    for i, rec in enumerate(load_detection_records(path)):
-        context = f"detection #{i}"
-        _scale_factor(rec, context)
-        dets.append(_detection(rec, context))
-    return dets
+    return _detections(_detection_rows(load_detection_records(path), False)[0])
 
 
 def tagged_detections_from_records(
@@ -244,12 +280,10 @@ def tagged_detections_from_records(
     resolution k is the k-th largest factor, as in `PyramidSpec`.
     Untagged records are rejected: fusion needs to know the source resolution.
     """
-    contexts = [f"detection #{i}" for i in range(len(records))]
-    factors = [_scale_factor(rec, context, _REQUIRED) for rec, context in zip(records, contexts)]
-    grouped: dict[float, list[Detection]] = {f: [] for f in sorted(set(factors), reverse=True)}
-    index = {factor: k for k, factor in enumerate(grouped)}
-    for rec, context, factor in zip(records, contexts, factors):
-        grouped[factor].append(_detection(rec, context, index[factor]))
+    table, factors = _detection_rows(records, True)
+    grouped: dict[float, list[Detection]] = {}
+    for factor, det in zip(factors.tolist(), _detections(table)):
+        grouped.setdefault(factor, []).append(det)
     return list(grouped.items())
 
 
@@ -269,6 +303,13 @@ def detections_to_records(
             rec["scale_factor"] = factor
         records.append(rec)
     return records
+
+
+def _table_records(table: np.ndarray) -> list[dict]:
+    """`detections_to_records` of a detection table's rows."""
+    return [{"image_id": int(image), "category_id": int(category), "bbox": [x, y, w, h],
+             "score": score, "resolution_index": int(resolution)}
+            for x, y, w, h, score, category, resolution, image in table.tolist()]
 
 
 def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], EvalResult]:

@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (
-    _CATEGORY, _H, _IMAGE, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, BBox, Detection,
-    ScaleRange, _detection_table, iou_matrix, to_corners,
+    _CATEGORY, _H, _IMAGE, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, Detection,
+    ScaleRange, _detection_table, _detections, iou_matrix, to_corners,
 )
 
 _SMALL_BLOCK = 64  # blocks up to this many rows run `_greedy_lists`, the rest `_greedy_arrays`
@@ -99,27 +99,15 @@ def _greedy_lists(scores: np.ndarray, decay: np.ndarray, active: np.ndarray, flo
 
 
 class _FusionIndex:
-    """Detections of every resolution inside `hull`, projected, in input
-    order, with each row's pre-projection scale; probed by range."""
+    """The rows of a detection table inside `hull`, projected by their own
+    factors, in table order, with each row's pre-projection scale; probed by range."""
 
-    def __init__(
-        self,
-        per_resolution: list[tuple[float, list[Detection]]],
-        hull: ScaleRange,
-        cfg: SoftNmsConfig | None = None,
-    ):
-        tables, scales = [np.empty((0, 8))], [np.empty(0)]
-        for factor, dets in per_resolution:
-            if factor <= 0:
-                raise ValueError(f"scaling factor must be positive: {factor!r}")
-            table = _detection_table(dets)
-            scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
-            inside = hull.contains(scale)
-            table = table[inside]
-            table[:, :4] *= 1.0 / factor
-            tables.append(table)
-            scales.append(scale[inside])
-        self.table, self.scale = np.concatenate(tables), np.concatenate(scales)
+    def __init__(self, table: np.ndarray, factors: np.ndarray, hull: ScaleRange,
+                 cfg: SoftNmsConfig | None = None):
+        scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
+        inside = hull.contains(scale)
+        self.table, self.scale = table[inside], scale[inside]
+        self.table[:, :4] *= (1.0 / factors[inside])[:, None]
         self.cfg = cfg or SoftNmsConfig()
         self._picks: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -158,11 +146,12 @@ class _FusionIndex:
         return rows[order], picked[order]
 
 
-def _detections(table: np.ndarray) -> list[Detection]:
-    return [
-        Detection(BBox(x, y, w, h), int(category), score, int(image), int(resolution))
-        for x, y, w, h, score, category, resolution, image in table.tolist()
-    ]
+def _resolution_rows(per_resolution: list) -> tuple[np.ndarray, np.ndarray]:
+    """Every resolution's detections as one table, in the order given, and each row's factor."""
+    if bad := [factor for factor, _ in per_resolution if factor <= 0]:
+        raise ValueError(f"scaling factor must be positive: {bad[0]!r}")
+    return (_detection_table([d for _, dets in per_resolution for d in dets]),
+            np.repeat([f for f, _ in per_resolution], [len(dets) for _, dets in per_resolution]))
 
 
 def gate_predictions(
@@ -170,7 +159,7 @@ def gate_predictions(
 ) -> list[Detection]:
     """Keep detections whose resized-image scale is in range; project the
     survivors to original-image coordinates. Input order is preserved."""
-    return _detections(_FusionIndex([(factor, dets)], scale_range).table)
+    return _detections(_FusionIndex(*_resolution_rows([(factor, dets)]), scale_range).table)
 
 
 def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[Detection]:
@@ -179,7 +168,8 @@ def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[De
     Never raises a score; the top-scoring input always survives unchanged.
     Output is sorted by image, then final score descending (deterministic tie-break).
     """
-    _, kept = _FusionIndex([(1.0, dets)], UNBOUNDED_RANGE, cfg).probe(UNBOUNDED_RANGE, None)
+    index = _FusionIndex(*_resolution_rows([(1.0, dets)]), UNBOUNDED_RANGE, cfg)
+    _, kept = index.probe(UNBOUNDED_RANGE, None)
     return _detections(kept)
 
 
@@ -197,5 +187,6 @@ def fuse_multiscale(
     """
     if top_k is not None and (not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1):
         raise ValueError(f"top_k must be None or an integer >= 1, got {top_k!r}")
-    _, fused = _FusionIndex(per_resolution, scale_range, cfg).probe(scale_range, top_k)
+    index = _FusionIndex(*_resolution_rows(per_resolution), scale_range, cfg)
+    _, fused = index.probe(scale_range, top_k)
     return _detections(fused)

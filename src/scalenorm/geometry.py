@@ -148,7 +148,15 @@ def _detection_table(dets: list[Detection]) -> np.ndarray:
     return np.array([
         (d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.category_id,
          d.resolution_index, d.image_id) for d in dets
-    ]).reshape(-1, 8)
+    ], dtype=float).reshape(-1, 8)
+
+
+def _detections(table: np.ndarray) -> list[Detection]:
+    """The detections of a table's rows: `_detection_table`'s inverse."""
+    return [
+        Detection(BBox(x, y, w, h), int(category), score, int(image), int(resolution))
+        for x, y, w, h, score, category, resolution, image in table.tolist()
+    ]
 
 
 def to_corners(xywh: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .dataio import Dataset, ImageInfo
 from .evaluation import EvalConfig, EvalResult, _DetectionRows, _GroundTruth, _score, evaluate
 # benchmark/spans.py traces gate_predictions and soft_nms under this module's names.
 from .fusion import SoftNmsConfig, UNBOUNDED_RANGE, fuse_multiscale, gate_predictions, soft_nms
-from .fusion import _FusionIndex
+from .fusion import _FusionIndex, _resolution_rows
 from .geometry import (
     _CATEGORY,
     _SCORE,
@@ -324,7 +324,7 @@ def isn_range_evaluator(
     it among those detections, in input order."""
     given = {img.id for img in dataset.images}
     per_resolution = [(f, [d for d in dets if d.image_id in given]) for f, dets in per_resolution]
-    index = _FusionIndex(per_resolution, hull, nms_cfg)
+    index = _FusionIndex(*_resolution_rows(per_resolution), hull, nms_cfg)
     vocab = dataset.category_ids()
     truth = _GroundTruth(dataset.instances, vocab, eval_cfg)
     rows = _DetectionRows(index.table, truth, eval_cfg)

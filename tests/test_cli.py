@@ -93,6 +93,9 @@ BAD_INPUTS = [
     pytest.param(EVAL, [PERFECT_DETECTIONS[0], dict(PERFECT_DETECTIONS[1], category_id=-2**53 - 1)],
                  "detection #1: category_id must be at most 2**53 in magnitude, "
                  "got -9007199254740993", id="category-id-past-float64"),
+    pytest.param(EVAL, [dict(PERFECT_DETECTIONS[0], resolution_index=2**60 + 1)],
+                 "detection #0: resolution_index must be at most 2**53 in magnitude, "
+                 "got 1152921504606846977", id="resolution-index-past-float64"),
     pytest.param(EVAL, [dict(PERFECT_DETECTIONS[0], bbox=["10", 10, 100, 100])],
                  "detection #0: bbox must be four numbers [x, y, w, h], got ['10', 10, 100, 100]",
                  id="string-coordinate"),

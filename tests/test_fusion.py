@@ -65,6 +65,11 @@ class TestSoftNms:
         assert [d.score for d in out] == [0.9, pytest.approx(0.8 * math.exp(-2.0))]
         assert out[1].score == pytest.approx(0.10827, abs=5e-6)
 
+    def test_integer_boxes_and_scores_are_numbers(self):
+        # Every value an integer: the detection table is still float64.
+        dets = [Detection(BBox(0, 0, 10, 10), 1, 1, 1, 0), Detection(BBox(20, 0, 10, 10), 1, 0, 1, 0)]
+        assert soft_nms(dets) == dets[:1]  # the score-0 detection is under the floor
+
     def test_disjoint_unchanged(self):
         a = det_of_scale(50.0, 0.9)
         b = det_of_scale(50.0, 0.8, x=500.0)

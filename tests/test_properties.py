@@ -1,5 +1,6 @@
 """Hypothesis properties of fusion, the two Soft-NMS greedy loops, range
-search, the search's probe path, closed-form matching and the JSON writer.
+search, the search's probe path, closed-form matching, the detection-dump
+reader and the JSON writer.
 
 Every property runs derandomized, so a failure reproduces on every run.
 Boxes sit on a coarse grid and scores come from a short list, so exact ties
@@ -37,12 +38,14 @@ from scalenorm import (
     soft_nms,
     strategy_detections,
 )
-from scalenorm.dataio import write_json
+from scalenorm import dataio
+from scalenorm.dataio import DataFormatError, write_json
 from scalenorm.evaluation import BUCKET_NAMES, EvalResult, _match_single, _match_unit
 from scalenorm.fusion import (
     _SMALL_BLOCK, _FusionIndex, _decay_factors, _detections, _greedy_arrays, _greedy_lists,
+    _resolution_rows,
 )
-from scalenorm.geometry import iou_matrix, to_corners
+from scalenorm.geometry import _detection_table, iou_matrix, to_corners
 from scalenorm.simulate import isn_range_evaluator
 
 FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25, 3.0)
@@ -136,7 +139,7 @@ class TestFusionProperties:
     )
     def test_probing_one_index_equals_fusing(self, stack, windows, cfg, top_k):
         hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
-        index = _FusionIndex(stack, hull, cfg)
+        index = _FusionIndex(*_resolution_rows(stack), hull, cfg)
         for window in windows + windows[::-1]:  # repeats are served from the index's memo
             rows, fused = index.probe(window, top_k)
             assert (index.table[rows, :4] == fused[:, :4]).all()
@@ -152,7 +155,7 @@ class TestFusionProperties:
     def test_probing_a_multi_image_index_fuses_each_image(self, case, windows, cfg, top_k):
         images, stack = case
         hull = ScaleRange(min(w.lower for w in windows), max(w.upper for w in windows))
-        index = _FusionIndex(stack, hull, cfg)
+        index = _FusionIndex(*_resolution_rows(stack), hull, cfg)
         for window in windows + windows[::-1]:
             _, fused = index.probe(window, top_k)
             assert _detections(fused) == [
@@ -400,3 +403,109 @@ class TestWriterProperties:
             with pytest.raises(ValueError):
                 write_json(os.path.join(tmp, "out.json"), obj)
             assert os.listdir(tmp) == []
+
+
+# Values a detection record's fields take in `detection_dumps`: valid ones,
+# including integers where a number belongs, -0.0 and 2**53, then the faults
+# injected into one field at a time.
+IDS = (1, 2, 0, -7, 2**53, -(2**53))
+COORDINATES = (0, 0.0, -0.0, 3, 12.5, 1e-300, 2**60 + 1)
+SIZES = (1, 0.5, 40.25, 1e-300, 2**60 + 1)
+DUMP_SCORES = (0, 1, 0.0, 1.0, 0.5, 1e-9, -0.0)
+DUMP_FACTORS = (4.0, 2, 1.0, 1, 0.5, 3.0)
+NUMBER_FIELDS = ("x", "y", "w", "h", "score", "scale_factor")
+ID_FIELDS = ("image_id", "category_id", "resolution_index")
+FAULTS = {
+    "non-object": st.sampled_from(([1, 2], "record", None, 5)),
+    "missing": st.sampled_from(("bbox", "category_id", "score", "image_id", "scale_factor")),
+    "not a number": st.tuples(st.sampled_from(NUMBER_FIELDS),
+                              st.sampled_from((True, False, None, "0.5", [1.0], 10**400))),
+    "non-finite": st.tuples(st.sampled_from(NUMBER_FIELDS),
+                            st.sampled_from((math.inf, math.nan, -math.inf))),
+    "not an integer": st.tuples(st.sampled_from(ID_FIELDS),
+                                st.sampled_from((True, 1.5, 1.0, "1", None, math.nan))),
+    "past 2**53": st.tuples(st.sampled_from(ID_FIELDS),
+                            st.sampled_from((2**53 + 1, -(2**53) - 1, 2**60 + 1))),
+    "box": st.sampled_from((("w", 0), ("h", -0.0), ("w", -2.5), ("x", -1), ("y", -1e-300),
+                            ("bbox", [1, 2, 3]), ("bbox", [1, 2, 3, 4, 5]), ("bbox", "1,2,3,4"))),
+    "score": st.sampled_from((-0.1, -1e-300, 1.0000000000000002, 2)),
+    "scale_factor": st.sampled_from((0, 0.0, -0.0, -1.5, "2", False)),
+}
+
+
+@st.composite
+def detection_dumps(draw):
+    """(records, tagged): a tagged or untagged dump of up to 8 valid records,
+    then up to two faults, each in one record."""
+    tagged = draw(st.booleans())
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        rec = {"image_id": draw(st.sampled_from(IDS)), "category_id": draw(st.sampled_from(IDS)),
+               "bbox": [draw(st.sampled_from(COORDINATES)) for _ in "xy"]
+               + [draw(st.sampled_from(SIZES)) for _ in "wh"],
+               "score": draw(st.sampled_from(DUMP_SCORES))}
+        if draw(st.booleans()):
+            rec["resolution_index"] = draw(st.sampled_from(IDS))
+        if tagged or draw(st.booleans()):
+            rec["scale_factor"] = draw(st.sampled_from(DUMP_FACTORS))
+        records.append(rec)
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        i = draw(st.integers(0, len(records) - 1))
+        kind = draw(st.sampled_from(sorted(FAULTS)))
+        fault = draw(FAULTS[kind])
+        if kind == "non-object":
+            records[i] = fault
+        elif type(records[i]) is not dict:
+            continue
+        elif kind == "missing":
+            records[i].pop(fault, None)
+        elif kind in ("score", "scale_factor"):
+            records[i][kind] = fault
+        else:
+            key, value = fault
+            if key in ("x", "y", "w", "h"):
+                records[i]["bbox"]["xywh".index(key)] = value
+            else:
+                records[i][key] = value
+    return records, tagged
+
+
+def rows_by_record(records, tagged):
+    """The table and factors the per-record rules give, record by record as
+    the loaders always checked them: a tagged dump's tags first, then each
+    record in turn; tagged, the factor groups largest first, each in file order."""
+    contexts = [f"detection #{i}" for i in range(len(records))]
+    if tagged:
+        for rec, context in zip(records, contexts):
+            dataio._scale_factor(rec, context, dataio._REQUIRED)
+    factors, dets = [], []
+    for rec, context in zip(records, contexts):
+        factors.append(dataio._scale_factor(rec, context, 1.0))
+        dets.append(dataio._detection(rec, context))
+    table = _detection_table(dets)
+    if tagged:
+        groups = sorted(set(factors), reverse=True)
+        order = sorted(range(len(records)), key=lambda i: groups.index(factors[i]))
+        table, factors = table[order], [factors[i] for i in order]
+        table[:, 6] = [groups.index(f) for f in factors]
+    return table, np.array(factors, dtype=float)
+
+
+class TestReaderProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(detection_dumps())
+    def test_column_reader_equals_the_per_record_rules(self, dump):
+        """Bit for bit the same rows, or the same first error."""
+        records, tagged = dump
+        try:
+            want = rows_by_record(records, tagged)
+        except (DataFormatError, OverflowError) as exc:
+            assert dataio._column_rows(records, tagged) is None
+            with pytest.raises(type(exc)) as err:
+                dataio._detection_rows(records, tagged)
+            assert str(err.value) == str(exc)
+            return
+        assert dataio._column_rows(records, tagged) is not None  # valid dumps take the column path
+        table, factors = dataio._detection_rows(records, tagged)
+        assert table.shape == want[0].shape and table.tobytes() == want[0].tobytes()
+        assert factors.shape == want[1].shape and factors.tobytes() == want[1].tobytes()

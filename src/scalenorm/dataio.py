@@ -228,8 +228,8 @@ def _detection_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray
         pairs = [(rec, f"detection #{i}") for i, rec in enumerate(records)]
         for rec, context in pairs if tagged else ():
             _scale_factor(rec, context, _REQUIRED)
-        dets = [(_scale_factor(*pair, 1.0), _detection(*pair)) for pair in pairs]
-        rows = _detection_table([d for _, d in dets]), np.array([f for f, _ in dets])
+        checked = [(_scale_factor(*pair, 1.0), _detection(*pair)) for pair in pairs]
+        rows = _detection_table([d for _, d in checked]), np.array([f for f, _ in checked])
     table, factors = rows
     if tagged:
         order = np.argsort(-factors, kind="stable")

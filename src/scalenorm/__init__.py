@@ -3,6 +3,7 @@ multi-resolution prediction fusion, COCO-style evaluation, and greedy
 scale-range search, validated end-to-end against a synthetic detector."""
 
 from .geometry import (
+    UNBOUNDED_RANGE,
     BBox,
     Detection,
     Instance,
@@ -25,7 +26,7 @@ from .sampling import (
     resized_scale_distributions,
     snip_partition,
 )
-from .fusion import SoftNmsConfig, UNBOUNDED_RANGE, fuse_multiscale, gate_predictions, soft_nms
+from .fusion import SoftNmsConfig, fuse_multiscale, gate_predictions, soft_nms
 from .evaluation import EvalConfig, EvalResult, EvaluationError, ap_by_scale_report, evaluate
 from .search import ApOracle, SearchAborted, SearchSpace, greedy_range_search
 from .pyramid import FpnAssignConfig, fpn_level, stage_histogram

@@ -287,28 +287,16 @@ def tagged_detections_from_records(
     return list(grouped.items())
 
 
-def detections_to_records(
-    dets: list[Detection], factor: float | None = None
-) -> list[dict]:
-    records = []
-    for d in dets:
-        rec = {
-            "image_id": d.image_id,
-            "category_id": d.category_id,
-            "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
-            "score": d.score,
-            "resolution_index": d.resolution_index,
-        }
-        if factor is not None:
-            rec["scale_factor"] = factor
-        records.append(rec)
-    return records
+def detections_to_records(dets: list[Detection], factor: float | None = None) -> list[dict]:
+    return _table_records(_detection_table(dets), factor)
 
 
-def _table_records(table: np.ndarray) -> list[dict]:
-    """`detections_to_records` of a detection table's rows."""
+def _table_records(table: np.ndarray, factor: float | None = None) -> list[dict]:
+    """The COCO results records of a detection table's rows, each tagged with
+    `scale_factor` if a factor is given."""
+    tag = {} if factor is None else {"scale_factor": factor}
     return [{"image_id": int(image), "category_id": int(category), "bbox": [x, y, w, h],
-             "score": score, "resolution_index": int(resolution)}
+             "score": score, "resolution_index": int(resolution), **tag}
             for x, y, w, h, score, category, resolution, image in table.tolist()]
 
 

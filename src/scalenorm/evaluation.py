@@ -269,22 +269,24 @@ def _mean_defined(values: np.ndarray) -> float:
 
 def _score(
     truth: _GroundTruth, dets: _DetectionRows, rows: np.ndarray, scores: np.ndarray,
-    cfg: EvalConfig, memo: tuple[dict, list] | None = None,
+    cfg: EvalConfig, memo: dict | None = None,
 ) -> EvalResult:
     """The evaluation core: match the ranked rows `rows`, scored `scores`, fill
-    the (category, bucket, threshold) AP and recall arrays, and average. `memo`
-    pairs a dict with a key per vocabulary category; a category whose key it
-    holds takes its AP and recall rows from it, its rows dropped first."""
+    the (category, bucket, threshold) AP and recall arrays, and average. A
+    `memo` dict holds each category's AP and recall rows by (category index,
+    the bytes of its row ids, the bytes of its scores); a category found in it
+    takes its rows from it, its detections dropped first."""
     thresholds, positives = cfg.iou_thresholds, truth.positives
     aps, recs = np.full((2, len(truth.vocab), len(BUCKET_NAMES), len(thresholds)), -1.0)
-    seen, memo_keys = memo or ({}, range(len(truth.vocab)))
     live = positives[:, 0] > 0  # a category without positives keeps -1 in every lane
-    for c in np.flatnonzero(live).tolist():
-        if memo_keys[c] in seen:
-            aps[c], recs[c] = seen[memo_keys[c]]
+    cats, keys = dets.cats[rows], {}
+    for c in np.flatnonzero(live).tolist() if memo is not None else ():
+        keys[c] = key = (c, rows[cats == c].tobytes(), scores[cats == c].tobytes())
+        if key in memo:
+            aps[c], recs[c] = memo[key]
             live[c] = False
     restrict = cfg.scale_restriction or UNBOUNDED_RANGE
-    keep = live[dets.cats[rows]] & restrict.contains(dets.scale[rows])
+    keep = live[cats] & restrict.contains(dets.scale[rows])
     rows, scores = rows[keep], scores[keep]
     # (category, image, rank) order; a unit, a run of one (category, image),
     # keeps its first max_dets rows, so units stay numbered 0, 1, ... in order.
@@ -324,7 +326,8 @@ def _score(
         order = np.argsort(-scores[span], kind="stable")
         aps[c, has], recs[c, has] = _pr_summary(
             order, is_tp[has, :, span], is_ig[has, :, span], positives[c, has], grid)
-        seen[memo_keys[c]] = aps[c], recs[c]
+        if c in keys:
+            memo[keys[c]] = aps[c], recs[c]
 
     # The lane of the threshold equal to 0.5 (0.75), or no lane: its mean is -1.
     lane = {v: [t for t, x in enumerate(thresholds) if math.isclose(x, v, abs_tol=1e-9)][:1]

@@ -168,9 +168,7 @@ def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[De
     Never raises a score; the top-scoring input always survives unchanged.
     Output is sorted by image, then final score descending (deterministic tie-break).
     """
-    index = _FusionIndex(*_resolution_rows([(1.0, dets)]), UNBOUNDED_RANGE, cfg)
-    _, kept = index.probe(UNBOUNDED_RANGE, None)
-    return _detections(kept)
+    return fuse_multiscale([(1.0, dets)], UNBOUNDED_RANGE, cfg, None)
 
 
 def fuse_multiscale(

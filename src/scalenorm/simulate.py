@@ -26,11 +26,11 @@ import numpy as np
 from .dataio import Dataset, ImageInfo
 from .evaluation import EvalConfig, EvalResult, _DetectionRows, _GroundTruth, _score, evaluate
 # benchmark/spans.py traces gate_predictions and soft_nms under this module's names.
-from .fusion import SoftNmsConfig, UNBOUNDED_RANGE, fuse_multiscale, gate_predictions, soft_nms
+from .fusion import SoftNmsConfig, fuse_multiscale, gate_predictions, soft_nms
 from .fusion import _FusionIndex, _resolution_rows
 from .geometry import (
-    _CATEGORY,
     _SCORE,
+    UNBOUNDED_RANGE,
     BBox,
     Detection,
     Instance,
@@ -325,16 +325,13 @@ def isn_range_evaluator(
     given = {img.id for img in dataset.images}
     per_resolution = [(f, [d for d in dets if d.image_id in given]) for f, dets in per_resolution]
     index = _FusionIndex(*_resolution_rows(per_resolution), hull, nms_cfg)
-    vocab = dataset.category_ids()
-    truth = _GroundTruth(dataset.instances, vocab, eval_cfg)
+    truth = _GroundTruth(dataset.instances, dataset.category_ids(), eval_cfg)
     rows = _DetectionRows(index.table, truth, eval_cfg)
     memo: dict = {}  # AP and recall rows of a category, by its fused row ids and scores
 
     def probe(rng: ScaleRange) -> EvalResult:
         ids, fused = index.probe(rng, top_k)
-        masks = [fused[:, _CATEGORY] == cat for cat in vocab]
-        keys = [(cat, ids[m].tobytes(), fused[m, _SCORE].tobytes()) for cat, m in zip(vocab, masks)]
-        return _score(truth, rows, ids, fused[:, _SCORE], eval_cfg, (memo, keys))
+        return _score(truth, rows, ids, fused[:, _SCORE], eval_cfg, memo)
 
     return probe
 

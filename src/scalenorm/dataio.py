@@ -4,10 +4,12 @@ Annotations use the standard COCO layout (`images`, `annotations`,
 `categories`). Detection dumps are COCO results records ({image_id,
 category_id, bbox, score}, maybe a resolution_index and the `scale_factor` that
 produced them), a bare JSON list or under a "detections" key; they are checked
-a column at a time into the detection table, which `fuse` fuses and writes its
-records from. Unknown keys are ignored on read, so every emitted artifact
+a column at a time into the detection table, and written from one by one
+writer: `fuse` writes its fused table, `simulate` the table of each resolution's
+`Detection`s. Unknown keys are ignored on read, so every emitted artifact
 re-ingests losslessly. Every field is read by one rule (`KINDS`), naming the
-record and field on error; an id or resolution index must be within 2**53.
+record and field on error; an id or resolution index must be within 2**53, and
+an integer past float range is not a finite number.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from .evaluation import _HEADLINE, EvalResult
 from .geometry import (
-    _RESOLUTION, BBox, Detection, Instance, ScaleRange, _detection_table, _detections)
+    _ID_BOUND, _RESOLUTION, BBox, Detection, Instance, ScaleRange, _detection_table, _detections,
+    _exact_id)
 from .sampling import SnipEntry, SnipRangeTable
 
 
@@ -63,11 +66,20 @@ class Dataset:
 _REQUIRED = object()
 _NUMBER = frozenset((int, float))
 
+
+def _float(value: int | float) -> float:
+    """`float(value)`, an integer past float range reading as ±inf: not a finite number."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 # The rule for each kind of JSON value, for data files and config keys alike:
 # kind -> (what the value must be, test). A bool is never an integer or a number.
 KINDS = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in _NUMBER and math.isfinite(v)),
+    float: ("a finite number", lambda v: type(v) in _NUMBER and math.isfinite(_float(v))),
     bool: ("0, 1, true or false", lambda v: type(v) in (bool, int) and v in (0, 1)),
     str: ("a string", lambda v: type(v) is str),
     list: ("a list", lambda v: type(v) is list),
@@ -96,10 +108,7 @@ def _field(rec: dict, key: str, kind: type, context: str, default=_REQUIRED):
 def _id(rec: dict, key: str, context: str, default=_REQUIRED) -> int:
     """An id or index: an integer that float64 holds exactly, as the
     detection table stores it."""
-    value = _field(rec, key, int, context, default)
-    if abs(value) > 2**53:
-        raise DataFormatError(f"{context}: {key} must be at most 2**53 in magnitude, got {value}")
-    return value
+    return _exact_id(f"{context}: {key}", _field(rec, key, int, context, default), DataFormatError)
 
 
 def _pair(rec: dict, key: str, kind: type, context: str, open_end: bool = False) -> tuple:
@@ -118,7 +127,7 @@ def _box(rec: dict, context: str) -> BBox:
     bbox = _field(rec, "bbox", list, context)
     if len(bbox) != 4 or not _NUMBER.issuperset(map(type, bbox)):
         raise DataFormatError(f"{context}: bbox must be four numbers [x, y, w, h], got {bbox!r}")
-    return _build(context, BBox, *map(float, bbox))
+    return _build(context, BBox, *map(_float, bbox))
 
 
 def _build(context: str, make, *args):
@@ -250,7 +259,8 @@ def _column_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray] |
     numbers = flat + [rec.get("score") for rec in records] + [
         rec.get("scale_factor", None if tagged else 1.0) for rec in records]
     if not (len(flat) == 4 * n and {int}.issuperset(map(type, ints))
-            and _NUMBER.issuperset(map(type, numbers)) and max(map(abs, ints), default=0) <= 2**53):
+            and max(map(abs, ints), default=0) <= _ID_BOUND
+            and _NUMBER.issuperset(map(type, numbers))):
         return None
     try:
         values = np.array(numbers, float)

@@ -19,12 +19,12 @@ detection of a unit has two or more candidates, it is matched in closed form,
 every lane at once: a detection whose candidate clears the lanes [0, k)
 matches on [lo, k), lo being 0 for a crowd candidate and else the largest k
 of the earlier detections on it. Other units are walked greedily, lane by
-lane. Range search remembers each category's AP and recall by its fused row
-ids and scores and drops a remembered category's rows first. All lanes of a
-category share one stable score ranking, in which absorbed detections (and
-unmatched ones outside the bucket) stay masked: they add to neither the TP
-nor the FP count and their precision is 0, so the AP and recall are those of
-the ranking without them.
+lane. Given a memo, as each range-search probe is, scoring keys each category's
+AP and recall by its row ids and scores and drops a remembered category's
+rows first. All lanes of a category share one stable score ranking, in which
+absorbed detections (and unmatched ones outside the bucket) stay masked: they
+add to neither the TP nor the FP count and their precision is 0, so the AP
+and recall are those of the ranking without them.
 
 AP and final recall land in two (category, bucket, threshold) arrays that
 start at -1, the mark of a lane without positives; each headline metric is
@@ -43,7 +43,7 @@ import numpy as np
 
 from .geometry import (
     _CATEGORY, _H, _IMAGE, _SCORE, _W, UNBOUNDED_RANGE, Detection, Instance, ScaleRange,
-    _detection_table, iou_matrix, to_corners,
+    _detection_table, _exact_ids, iou_matrix, to_corners,
 )
 
 BUCKET_NAMES = ("all", "small", "medium", "large")
@@ -124,6 +124,7 @@ class _GroundTruth:
     def __init__(self, gts: list[Instance], vocab: list[int], cfg: EvalConfig):
         a = np.array([(g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h, g.image_id, g.category_id,
                        g.iscrowd) for g in gts], dtype=float).reshape(-1, 7)
+        _exact_ids(a[:, 4:6], gts, ("image_id", "category_id"), "ground-truth instance {0.id}")
         self.vocab, self.images, self.corners = vocab, a[:, 4], to_corners(a[:, :4])
         self.cats, self.crowd = self.category_index(a[:, 5]), a[:, 6] != 0
         area, restrict = a[:, 2] * a[:, 3], cfg.scale_restriction or UNBOUNDED_RANGE

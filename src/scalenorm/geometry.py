@@ -141,14 +141,35 @@ UNBOUNDED_RANGE = ScaleRange(0.0, math.inf)
 
 # Columns of a detection table, the one box representation of fusion and evaluation.
 _X, _Y, _W, _H, _SCORE, _CATEGORY, _RESOLUTION, _IMAGE = range(8)
+_ID_BOUND = 2**53  # float64, as the tables store ids and indexes, holds every integer up to it
+
+
+def _exact_id(field: str, value: int, error: type[ValueError] = ValueError) -> int:
+    """`value`, an id or index within ±2**53; else `error` naming `field`."""
+    if abs(value) > _ID_BOUND:
+        raise error(f"{field} must be at most 2**53 in magnitude, got {value}")
+    return value
+
+
+def _exact_ids(columns: np.ndarray, records: list, names: tuple[str, ...], what: str) -> None:
+    """`_exact_id` on the id fields `names` of each record, which fill `columns`,
+    the record named `what.format(record, i)`. A float column reads 2**53 + 1
+    as 2**53, so its max only says when to look at the records."""
+    if columns.size and np.abs(columns).max() >= _ID_BOUND:
+        for i, rec in enumerate(records):
+            for name in names:
+                _exact_id(f"{what.format(rec, i)}: {name}", getattr(rec, name))
 
 
 def _detection_table(dets: list[Detection]) -> np.ndarray:
     """(N, 8) float rows, one per detection, in the column order above."""
-    return np.array([
+    table = np.array([
         (d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.category_id,
          d.resolution_index, d.image_id) for d in dets
     ], dtype=float).reshape(-1, 8)
+    _exact_ids(table[:, _CATEGORY:], dets, ("category_id", "resolution_index", "image_id"),
+               "detection #{1}")
+    return table
 
 
 def _detections(table: np.ndarray) -> list[Detection]:

@@ -28,6 +28,23 @@ def test_first_input_passes_check(tmp_path, name):
     assert workload.check(0, workload.output(0, result)) == []
 
 
+# The spans each workload's op 0 records. A call moved out of a traced
+# function's reach shows up here, not as a per-layer metric reading 0.
+TRACED = {
+    "quickstart": {
+        *(f"cli.{c}" for c in ("simulate", "partition", "stage_hist", "fuse", "eval")),
+        "config.to_dict",
+        *(f"dataio.read.{r}" for r in ("annotations", "records", "detections")),
+        *(f"dataio.write.{w}" for w in ("json", "csv", "dataset", "records")),
+        "simulate.generate", "simulate.detect", "sampling.partition", "pyramid.stage_hist",
+        "evaluation.evaluate", "evaluation.report",
+    },
+    "dense_fuse": {"fusion.fuse_multiscale"},
+    "search": {"cli.search", "config.to_dict", "dataio.write.json", "simulate.generate",
+               "simulate.detect", "search.search", "search.query"},
+}
+
+
 @pytest.mark.parametrize("name, counted", [
     ("quickstart", "dataio.records_read"), ("dense_fuse", "fusion.dets_out"),
     ("search", "search.probes"),
@@ -40,6 +57,7 @@ def test_first_input_passes_check_traced(tmp_path, name, counted):
         tracer.op = 0
         result = workload.run(0, tracer.span)
     assert workload.check(0, workload.output(0, result)) == []
+    assert {span[0] for span in tracer.spans if span[4] == 0} == TRACED[name]
     path = tmp_path / "spans.jsonl"
     tracer.write(str(path))
     metrics = spans.derive(spans.load_spans(str(path)), 1)

@@ -51,6 +51,7 @@ SNIP_PARTITION = ["partition", "--annotations", "ANN", "--policy", "snip", "--sn
 ISN_PARTITION = ["partition", "--annotations", "ANN", "--snip-table", "BAD", "--out", "OUT"]
 ANALYZE_SNIP = ["analyze-snip", "--annotations", "ANN", "--snip-table", "BAD", "--out", "OUT"]
 SEARCH = ["search", "--table", "BAD", "--out", "OUT"]
+PARTITION = ["partition", "--annotations", "BAD", "--out", "OUT"]
 SIMULATE = ["simulate", "--images", "2", "--out", "OUT", "--out-dets", "OUT2"]
 
 
@@ -61,6 +62,8 @@ def with_image(**changes):
 def with_annotation(annotation):
     return dict(PERFECT_ANNOTATIONS, annotations=[annotation])
 
+
+BIG = 10**400  # a JSON integer past float range: not a finite number
 
 # (command, its malformed input, the one error line it must print)
 BAD_INPUTS = [
@@ -146,6 +149,22 @@ BAD_INPUTS = [
                  id="jitter-underflow"),
     pytest.param(EVAL, [PERFECT_DETECTIONS[0], dict(PERFECT_DETECTIONS[1], category_id=7)],
                  "detection #1: unknown category 7", id="unknown-detection-category"),
+    pytest.param(FUSE, [dict(PERFECT_DETECTIONS[0], bbox=[10, BIG, 100, 100], scale_factor=1.0)],
+                 "detection #0: non-finite box: BBox(x=10.0, y=inf, w=100.0, h=100.0)",
+                 id="detection-coordinate-past-float-range"),
+    pytest.param(EVAL, [PERFECT_DETECTIONS[0], dict(PERFECT_DETECTIONS[1], score=BIG)],
+                 f"detection #1: score must be a finite number, got {BIG}",
+                 id="score-past-float-range"),
+    pytest.param(PARTITION, with_annotation(dict(ANNOTATION, bbox=[10, 10, -BIG, 100])),
+                 "annotation 1: non-finite box: BBox(x=10.0, y=10.0, w=-inf, h=100.0)",
+                 id="annotation-coordinate-past-float-range"),
+    pytest.param(SEARCH, [{"range": [0, BIG], "ap": 37.4}],
+                 f"lookup entry #0: range must be two items, each a finite number, got [0, {BIG}]",
+                 id="range-bound-past-float-range"),
+    pytest.param(FUSE + ["--set", f"soft_nms.sigma={BIG}"],
+                 [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS],
+                 f"config key 'soft_nms.sigma': expected a finite number, got {BIG}",
+                 id="override-past-float-range"),
 ]
 
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from scalenorm import (
     ap_by_scale_report,
     evaluate,
 )
-from scalenorm.geometry import iou_matrix
+from scalenorm.evaluation import _DetectionRows, _GroundTruth, _score
+from scalenorm.geometry import _detection_table, iou_matrix
 
 from conftest import corner_rows, make_instance
 from oracles import evaluate_reference
@@ -66,6 +68,21 @@ class TestEvaluateBasics:
         det = detection_for(gt, 0.9, category_id=7)
         with pytest.raises(EvaluationError):
             evaluate([gt], [det], categories=[1, 2])
+
+    def test_ids_past_float64_are_rejected(self):
+        # The float64 tables would read image 2**53 + 1 as 2**53 and match across the two.
+        gt = Instance(BBox(10.0, 10.0, 50.0, 50.0), 1, id=5, image_id=2**53 + 1)
+        det = Detection(gt.bbox, 1, 0.9, 2**53)
+        with pytest.raises(ValueError) as caught:
+            evaluate([gt], [det])
+        assert str(caught.value) == (
+            "ground-truth instance 5: image_id must be at most 2**53 in magnitude, "
+            "got 9007199254740993")
+        with pytest.raises(ValueError) as caught:
+            evaluate([replace(gt, image_id=2**53)], [replace(det, image_id=2**53 + 1)])
+        assert str(caught.value) == (
+            "detection #0: image_id must be at most 2**53 in magnitude, got 9007199254740993")
+        assert evaluate([replace(gt, image_id=2**53)], [det]).ap == 1.0
 
     def test_missing_threshold_sentinels(self):
         gt = make_instance(100.0)
@@ -322,6 +339,26 @@ def box_det(x, y, w, h, score, image_id=1, category_id=1):
 
 def box_gt(x, y, w, h, inst_id, image_id=1, iscrowd=False, category_id=1):
     return Instance(BBox(x, y, w, h), category_id, iscrowd, inst_id, image_id)
+
+
+class TestScoreMemo:
+    def test_memo_tells_rows_and_scores_apart(self):
+        """A range-search probe hands `_score` a category's rows image by image,
+        so its AP depends on which rows it has and on the scores that
+        interleave the images; the memo keys by both."""
+        gts = [box_gt(0, 0, 50, 50, 1, image_id=1), box_gt(0, 0, 50, 50, 2, image_id=2)]
+        # A hit on image 1, a miss and a hit on image 2.
+        dets = [box_det(0, 0, 50, 50, 0.5, image_id=1), box_det(200, 200, 50, 50, 0.5, image_id=2),
+                box_det(0, 0, 50, 50, 0.5, image_id=2)]
+        cfg = EvalConfig()
+        truth = _GroundTruth(gts, [1], cfg)
+        rows = _DetectionRows(_detection_table(dets), truth, cfg)
+        memo = {}
+        # The hit first, then the miss first on the same rows, then two hits on those scores.
+        for ids, scores in (([0, 1], [0.9, 0.8]), ([0, 1], [0.8, 0.9]), ([0, 2], [0.8, 0.9])):
+            want = evaluate(gts, [replace(dets[i], score=v) for i, v in zip(ids, scores)], cfg, [1])
+            assert _score(truth, rows, np.array(ids), np.array(scores), cfg, memo) == want
+        assert len(memo) == 3
 
 
 class TestLaneEdgeCases:

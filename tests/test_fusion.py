@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,25 @@ class TestPerImageFusion:
         kept = soft_nms(self.DETS)
         assert kept == self.per_image(soft_nms)
         assert kept[0] == self.DETS[3]  # image 1's top, not decayed by image 2's
+
+    def test_ids_past_float64_are_rejected(self):
+        # The float64 table would read image 2**53 + 1 as 2**53 and fuse the two images as one.
+        dets = [Detection(BBox(10.0, 10.0, 40.0, 40.0), 1, 0.9, 2**53),
+                Detection(BBox(10.0, 10.0, 40.0, 40.0), 1, 0.8, 2**53 + 1)]
+        message = "detection #1: image_id must be at most 2**53 in magnitude, got 9007199254740993"
+        for fuse in (soft_nms, lambda dets: fuse_multiscale([(1.0, dets)], RANGE)):
+            with pytest.raises(ValueError) as caught:
+                fuse(dets)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("field", ["category_id", "resolution_index", "image_id"])
+    def test_each_id_field_is_checked_and_2_53_kept(self, field):
+        det = Detection(BBox(10.0, 10.0, 40.0, 40.0), 1, 0.9, 1, 0)
+        kept = [replace(det, **{field: 2**53}),
+                replace(det, **{field: -(2**53)}, bbox=BBox(200.0, 10.0, 40.0, 40.0))]
+        assert set(soft_nms(kept)) == set(kept)  # disjoint boxes: both kept, unchanged
+        with pytest.raises(ValueError, match=rf"^detection #0: {field} must be at most 2\*\*53 "):
+            soft_nms([replace(det, **{field: -(2**53) - 1})])
 
 
 class TestSoftNmsConfig:

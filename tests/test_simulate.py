@@ -254,6 +254,19 @@ class TestIsnRangeEvaluator:
         assert probe(WINDOW) == first
         assert calls == before
 
+    def test_ranges_with_equal_scores_on_other_rows_are_scored_apart(self):
+        # The narrow range holds only a hit on the one instance, the wide one
+        # only a miss of the same score: the memo must not take one for the other.
+        dataset = tiny_dataset([50.0])
+        dets = [Detection(dataset.instances[0].bbox, 1, 0.9, 1),
+                Detection(BBox(300.0, 200.0, 200.0, 200.0), 1, 0.9, 1)]
+        probe = isn_range_evaluator(
+            dataset, [(1.0, dets)], ScaleRange(16.0, 640.0), SoftNmsConfig(), 100, EvalConfig())
+        for window, ap in ((ScaleRange(16.0, 100.0), 1.0), (ScaleRange(150.0, 640.0), 0.0)):
+            fused = fuse_multiscale([(1.0, dets)], window)
+            assert probe(window) == evaluate(dataset.instances, fused, categories=[1])
+            assert probe(window).ap == ap
+
     def test_a_detection_outside_the_vocabulary_raises_as_evaluate_does(self):
         # One image, one category-1 box, detections of categories 2 and 1 on it.
         dataset = tiny_dataset([50.0])

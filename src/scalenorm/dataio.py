@@ -4,12 +4,10 @@ Annotations use the standard COCO layout (`images`, `annotations`,
 `categories`). Detection dumps are COCO results records ({image_id,
 category_id, bbox, score}, maybe a resolution_index and the `scale_factor` that
 produced them), a bare JSON list or under a "detections" key; they are checked
-a column at a time into the detection table, and written from one by one
-writer: `fuse` writes its fused table, `simulate` the table of each resolution's
-`Detection`s. Unknown keys are ignored on read, so every emitted artifact
+a column at a time into the detection table, and one writer writes records
+from a table. Unknown keys are ignored on read, so every emitted artifact
 re-ingests losslessly. Every field is read by one rule (`KINDS`), naming the
-record and field on error; an id or resolution index must be within 2**53, and
-an integer past float range is not a finite number.
+record and field on error; an id must be within 2**53 and a number finite.
 """
 
 from __future__ import annotations

@@ -152,9 +152,8 @@ def _exact_id(field: str, value: int, error: type[ValueError] = ValueError) -> i
 
 
 def _exact_ids(columns: np.ndarray, records: list, names: tuple[str, ...], what: str) -> None:
-    """`_exact_id` on the id fields `names` of each record, which fill `columns`,
-    the record named `what.format(record, i)`. A float column reads 2**53 + 1
-    as 2**53, so its max only says when to look at the records."""
+    """`_exact_id` on the fields `names`, which fill float `columns`, of each record
+    (`what.format(record, i)`): a float reads 2**53 + 1 as 2**53, so test its max first."""
     if columns.size and np.abs(columns).max() >= _ID_BOUND:
         for i, rec in enumerate(records):
             for name in names:
@@ -162,7 +161,7 @@ def _exact_ids(columns: np.ndarray, records: list, names: tuple[str, ...], what:
 
 
 def _detection_table(dets: list[Detection]) -> np.ndarray:
-    """(N, 8) float rows, one per detection, in the column order above."""
+    """(N, 8) float rows, one per detection, in the column order above, ids within ±2**53."""
     table = np.array([
         (d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score, d.category_id,
          d.resolution_index, d.image_id) for d in dets

@@ -289,10 +289,7 @@ def tagged_detections_from_records(
     Untagged records are rejected: fusion needs to know the source resolution.
     """
     table, factors = _detection_rows(records, True)
-    grouped: dict[float, list[Detection]] = {}
-    for factor, det in zip(factors.tolist(), _detections(table)):
-        grouped.setdefault(factor, []).append(det)
-    return list(grouped.items())
+    return [(f, _detections(table[factors == f])) for f in dict.fromkeys(factors.tolist())]
 
 
 def detections_to_records(dets: list[Detection], factor: float | None = None) -> list[dict]:

@@ -37,6 +37,7 @@ ignored while detections outside it are discarded before matching.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,9 +116,9 @@ class EvalResult:
 
 
 class _GroundTruth:
-    """Per instance in input order: image, category (index into `vocab`, or
-    len(vocab)), corners, crowd flag, (bucket, instance) ignore matrix; per
-    category (plus an all-0 row past `vocab`) and bucket, the positives."""
+    """Per instance in input order: image, category (index into `vocab`),
+    corners, crowd flag, (bucket, instance) ignore matrix; per category and
+    bucket, the positives. An instance outside `vocab` raises EvaluationError."""
 
     __slots__ = ("vocab", "images", "cats", "corners", "crowd", "ignore", "positives", "flags")
 
@@ -126,18 +127,23 @@ class _GroundTruth:
                        g.iscrowd) for g in gts], dtype=float).reshape(-1, 7)
         _exact_ids(a[:, 4:6], gts, ("image_id", "category_id"), "ground-truth instance {0.id}")
         self.vocab, self.images, self.corners = vocab, a[:, 4], to_corners(a[:, :4])
-        self.cats, self.crowd = self.category_index(a[:, 5]), a[:, 6] != 0
+        self.cats = self.category_index(a[:, 5], lambda i: (
+            f"ground-truth instance {gts[i].id} has unknown category {gts[i].category_id}"))
+        self.crowd = a[:, 6] != 0
         area, restrict = a[:, 2] * a[:, 3], cfg.scale_restriction or UNBOUNDED_RANGE
         b = np.arange(len(BUCKET_NAMES))[:, None]  # ignored, or outside a bucket but "all"
         self.ignore = (self.crowd | ~restrict.contains(np.sqrt(area))
                        | ((b != cfg._bucket(area)) & (b != 0)))
-        self.positives = np.zeros((len(vocab) + 1, len(BUCKET_NAMES)), dtype=int)
-        np.add.at(self.positives, self.cats, ~self.ignore.T & (self.cats < len(vocab))[:, None])
+        self.positives = np.zeros((len(vocab), len(BUCKET_NAMES)), dtype=int)
+        np.add.at(self.positives, self.cats, ~self.ignore.T)
         self.flags = self.crowd.tolist(), self.ignore.tolist()  # for `_match_unit`
 
-    def category_index(self, cats: np.ndarray) -> np.ndarray:
+    def category_index(self, cats: np.ndarray, unknown: Callable[[int], str]) -> np.ndarray:
+        """Indices into `vocab`; EvaluationError(unknown(i)) for cats[i], the first outside it."""
         at = np.searchsorted(self.vocab, cats)
-        return np.where(np.append(self.vocab, np.nan)[at] == cats, at, len(self.vocab))
+        if (outside := np.flatnonzero(np.append(self.vocab, np.nan)[at] != cats).tolist()):
+            raise EvaluationError(unknown(outside[0]))
+        return at
 
 
 class _DetectionRows:
@@ -150,10 +156,9 @@ class _DetectionRows:
     __slots__ = ("images", "cats", "buckets", "scale", "count", "single", "iou", "lanes", "multi")
 
     def __init__(self, table: np.ndarray, truth: _GroundTruth, cfg: EvalConfig):
-        self.images, self.cats = table[:, _IMAGE], truth.category_index(table[:, _CATEGORY])
-        if (unknown := np.flatnonzero(self.cats == len(truth.vocab)).tolist()):
-            i = unknown[0]
-            raise EvaluationError(f"detection #{i}: unknown category {int(table[i, _CATEGORY])}")
+        self.images = table[:, _IMAGE]
+        self.cats = truth.category_index(table[:, _CATEGORY], lambda i: (
+            f"detection #{i}: unknown category {int(table[i, _CATEGORY])}"))
         area = table[:, _W] * table[:, _H]
         self.buckets, self.scale = cfg._bucket(area), np.sqrt(area)  # instance_scale, bit for bit
         self.count, self.single = np.zeros((2, len(table)), dtype=int)
@@ -356,9 +361,6 @@ def _evaluate(
     vocab = sorted(set(categories) if categories is not None
                    else {g.category_id for g in gts} | {d.category_id for d in dets})
     truths = [_GroundTruth(gts, vocab, cfg) for cfg in passes]
-    if (unknown := np.flatnonzero(truths[0].cats == len(vocab)).tolist()):
-        g = gts[unknown[0]]
-        raise EvaluationError(f"ground-truth instance {g.id} has unknown category {g.category_id}")
     table = _detection_table(dets)
     rows = _DetectionRows(table, truths[0], passes[0])
     ranked = np.argsort(-table[:, _SCORE], kind="stable")

@@ -96,21 +96,10 @@ def greedy_range_search(
     lower, upper = space.initial.lower, space.initial.upper
     while True:
         start = (lower, upper)
-        # Lower-bound sweep, ascending; strict improvement keeps the smaller bound on ties.
-        best_ap = None
-        for cand in space.lower_candidates:
-            if cand < lower or cand >= upper:
-                continue
-            ap = probe(cand, upper)
-            if best_ap is None or ap > best_ap:
-                best_ap, lower = ap, cand
-        # Upper-bound sweep, descending; strict improvement keeps the larger bound on ties.
-        best_ap = None
-        for cand in reversed(space.upper_candidates):
-            if cand > upper or cand <= lower:
-                continue
-            ap = probe(lower, cand)
-            if best_ap is None or ap > best_ap:
-                best_ap, upper = ap, cand
+        # `max` keeps the first best: ties keep the smaller lower and the larger upper bound.
+        lower = max((c for c in space.lower_candidates if lower <= c < upper),
+                    key=lambda c: probe(c, upper))
+        upper = max((c for c in reversed(space.upper_candidates) if lower < c <= upper),
+                    key=lambda c: probe(lower, c))
         if (lower, upper) == start:
             return ScaleRange(lower, upper), trace

@@ -55,24 +55,25 @@ def _encode(value):
 
 def _decode(value, hint, path: str):
     """`value` checked against the annotation `hint`; errors name `path`."""
+    where = f"config key {path!r}" if path else "config"
     if hint in KINDS:
         expected, test = KINDS[hint]
         if not test(value):
-            raise ValueError(f"config key {path!r}: expected {expected}, got {value!r}")
+            raise ValueError(f"{where}: expected {expected}, got {value!r}")
         return hint(value)
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
         return None if value is None else _decode(value, args[0], path)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
-            raise ValueError(f"config key {path!r}: expected a list, got {value!r}")
+            raise ValueError(f"{where}: expected a list, got {value!r}")
         return tuple(_decode(v, args[0], path) for v in value)
     if hint in _LISTED:
         listed, build, _ = _LISTED[hint]
         value = _decode(value, listed, path)
     else:  # a config dataclass
         if not isinstance(value, dict):
-            raise ValueError(f"config key {path!r}: expected an object, got {value!r}")
+            raise ValueError(f"{where}: expected an object, got {value!r}")
         known = {key: (name, h) for name, key, h in _fields(hint)}
         keys = {k: f"{path}.{k}" if path else k for k in value}
         unknown = sorted(keys[k] for k in value if k not in known)
@@ -85,7 +86,7 @@ def _decode(value, hint, path: str):
     except (TypeError, ValueError) as exc:
         if not path:  # the top level names its own keys
             raise
-        raise ValueError(f"config key {path!r}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,8 @@ class AppConfig:
             raise ValueError(
                 f"config key 'fusion_top_k': expected null or an integer >= 1, got {k!r}"
             )
+        if not (KINDS[int][1](self.seed) and self.seed >= 0):
+            raise ValueError(f"config key 'seed': expected an integer >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return _encode(self)
@@ -143,10 +146,9 @@ def apply_override(data: dict, assignment: str) -> dict:
 
 def parse_range(text: str) -> ScaleRange:
     """Parse "lower,upper" where upper may be "inf"."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'lower,upper', got {text!r}")
-    lower = float(parts[0])
-    upper_text = parts[1].strip().lower()
-    upper = math.inf if upper_text in ("inf", "none", "") else float(parts[1])
-    return ScaleRange(lower, upper)
+    try:
+        lower, upper = text.split(",")
+        pair = float(lower), (math.inf if upper.strip().lower() in ("none", "") else float(upper))
+    except ValueError:  # not two parts, or a part that is not a number
+        raise ValueError(f"expected 'lower,upper', got {text!r}") from None
+    return ScaleRange(*pair)

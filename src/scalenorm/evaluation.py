@@ -30,6 +30,9 @@ AP and final recall land in two (category, bucket, threshold) arrays that
 start at -1, the mark of a lane without positives; each headline metric is
 the mean of the other values in one slice of them, or -1 if there are none.
 
+Both sides map categories through the ground truth's `category_index`, which
+raises EvaluationError for the first instance or row outside the vocabulary.
+
 When a scale restriction is set, ground truth outside the window becomes
 ignored while detections outside it are discarded before matching.
 """

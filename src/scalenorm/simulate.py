@@ -319,9 +319,10 @@ def isn_range_evaluator(
     """The `evaluate` result of ISN fusion at any range inside `hull`. The
     ground truth, the fusion index of the dataset's detections and its rows'
     IoU with the ground truth are prepared once; a probe hands its fused rows
-    straight to evaluation. As in `evaluate`, a detection inside `hull` whose
-    category is not the dataset's raises EvaluationError; the message numbers
-    it among those detections, in input order."""
+    straight to evaluation. As in `evaluate`, a ground-truth instance or a
+    detection inside `hull` whose category is not the dataset's raises
+    EvaluationError; the message numbers such a detection among those
+    detections, in input order."""
     given = {img.id for img in dataset.images}
     per_resolution = [(f, [d for d in dets if d.image_id in given]) for f, dets in per_resolution]
     index = _FusionIndex(*_resolution_rows(per_resolution), hull, nms_cfg)

@@ -165,6 +165,21 @@ BAD_INPUTS = [
                  [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS],
                  f"config key 'soft_nms.sigma': expected a finite number, got {BIG}",
                  id="override-past-float-range"),
+    pytest.param(SIMULATE + ["--set", "seed=-1"], None,
+                 "config key 'seed': expected an integer >= 0, got -1",
+                 id="negative-seed-simulate"),
+    pytest.param(["search", "--simulate", "--images", "2", "--set", "seed=-1", "--out", "OUT"],
+                 None, "config key 'seed': expected an integer >= 0, got -1",
+                 id="negative-seed-search-simulate"),
+    pytest.param(FUSE + ["--set", "seed=-1"],
+                 [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS],
+                 "config key 'seed': expected an integer >= 0, got -1", id="negative-seed-fuse"),
+    pytest.param(SIMULATE + ["--config", "BAD"], [1, 2], "config: expected an object, got [1, 2]",
+                 id="non-object-config"),
+    pytest.param(EVAL + ["--scale-range", "a,560"], PERFECT_DETECTIONS,
+                 "expected 'lower,upper', got 'a,560'", id="non-numeric-scale-range-lower"),
+    pytest.param(EVAL + ["--scale-range", "16,b"], PERFECT_DETECTIONS,
+                 "expected 'lower,upper', got '16,b'", id="non-numeric-scale-range-upper"),
 ]
 
 

@@ -90,6 +90,8 @@ class TestDefaults:
             ({"search": {"initial": [8, 640]}}, "config key 'search': initial bounds"),
             ({"fusion_top_k": 0}, "config key 'fusion_top_k': expected null or an integer >= 1"),
             ({"fusion_top_k": -1}, "config key 'fusion_top_k': expected null or an integer >= 1"),
+            ({"seed": -1}, "config key 'seed': expected an integer >= 0, got -1"),
+            ([1, 2], "config: expected an object, got [1, 2]"),
         ],
     )
     def test_strict_decoding_names_key(self, data, message):
@@ -100,6 +102,11 @@ class TestDefaults:
     def test_top_k_checked_on_construction(self, top_k):
         with pytest.raises(ValueError, match="^config key 'fusion_top_k': "):
             replace(AppConfig(), fusion_top_k=top_k)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_seed_checked_on_construction(self, seed):
+        with pytest.raises(ValueError, match="^config key 'seed': "):
+            replace(AppConfig(), seed=seed)
 
     @pytest.mark.parametrize("top_k", [None, 1, 100])
     def test_top_k_accepts_null_and_positive(self, top_k):
@@ -141,5 +148,12 @@ class TestParsers:
     def test_range(self):
         assert parse_range("16,560") == ScaleRange(16.0, 560.0)
         assert parse_range("0,inf").upper == math.inf
+        assert parse_range(" 16 , inf ") == ScaleRange(16.0, math.inf)
         with pytest.raises(ValueError):
             parse_range("16")
+
+    @pytest.mark.parametrize("text", ["a,560", "16,b", "16,560,640"])
+    def test_range_text_that_is_not_two_numbers_is_named(self, text):
+        with pytest.raises(ValueError) as caught:
+            parse_range(text)
+        assert str(caught.value) == f"expected 'lower,upper', got {text!r}"

@@ -69,6 +69,15 @@ class TestEvaluateBasics:
         with pytest.raises(EvaluationError):
             evaluate([gt], [det], categories=[1, 2])
 
+    def test_ground_truth_outside_the_vocabulary_raises(self):
+        # The ground-truth index owns the rule, so a range-search probe follows it too.
+        gts = [make_instance(100.0), make_instance(50.0, inst_id=2, category_id=2, x=200.0)]
+        message = r"^ground-truth instance 2 has unknown category 2$"
+        with pytest.raises(EvaluationError, match=message):
+            evaluate(gts, [detection_for(gts[0], 0.9)], categories=[1])
+        with pytest.raises(EvaluationError, match=message):
+            _GroundTruth(gts, [1], EvalConfig())
+
     def test_ids_past_float64_are_rejected(self):
         # The float64 tables would read image 2**53 + 1 as 2**53 and match across the two.
         gt = Instance(BBox(10.0, 10.0, 50.0, 50.0), 1, id=5, image_id=2**53 + 1)

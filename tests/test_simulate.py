@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,6 +281,19 @@ class TestIsnRangeEvaluator:
             isn_range_evaluator(
                 dataset, [(1.0, dets)], WINDOW, SoftNmsConfig(), 100, EvalConfig()
             )
+
+    def test_ground_truth_outside_the_vocabulary_raises_as_evaluate_does(self):
+        # One image of vocabulary [1], instances of categories 1 and 2, a hit on the first.
+        dataset = tiny_dataset([50.0, 80.0])
+        first, second = dataset.instances
+        dataset = Dataset(dataset.images, [first, replace(second, category_id=2)],
+                          dataset.categories)
+        dets = [Detection(first.bbox, 1, 0.9, 1)]
+        message = r"^ground-truth instance 2 has unknown category 2$"
+        with pytest.raises(EvaluationError, match=message):
+            evaluate(dataset.instances, dets, categories=dataset.category_ids())
+        with pytest.raises(EvaluationError, match=message):
+            isn_range_evaluator(dataset, [(1.0, dets)], WINDOW, SoftNmsConfig(), 100, EvalConfig())
 
 
 class TestProfileValidation:

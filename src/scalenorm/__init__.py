@@ -11,7 +11,6 @@ from .geometry import (
     ScaleRange,
     instance_scale,
     project_box,
-    resize_plan,
 )
 from .sampling import (
     DEFAULT_SNIP_TABLE,
@@ -32,7 +31,6 @@ from .search import ApOracle, SearchAborted, SearchSpace, greedy_range_search
 from .pyramid import FpnAssignConfig, fpn_level, stage_histogram
 from .simulate import (
     DetectorProfile,
-    detection_probability,
     generate_dataset,
     run_experiment,
     simulate_detections,
@@ -72,7 +70,6 @@ __all__ = [
     "UNBOUNDED_RANGE",
     "ap_by_scale_report",
     "consistency_overlap",
-    "detection_probability",
     "evaluate",
     "fpn_level",
     "fuse_multiscale",
@@ -83,7 +80,6 @@ __all__ = [
     "isn_partition",
     "load_annotations",
     "project_box",
-    "resize_plan",
     "resized_scale_distributions",
     "run_experiment",
     "simulate_detections",

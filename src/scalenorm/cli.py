@@ -125,6 +125,8 @@ def _effective_config(args: argparse.Namespace) -> AppConfig:
             apply_override(data, assignment)
         cfg = AppConfig.from_dict(data)
     if args.seed is not None:
+        if args.seed < 0:  # with_seed would name the detector's seed
+            raise ValueError(f"--seed: expected an integer >= 0, got {args.seed}")
         cfg = cfg.with_seed(args.seed)
     return cfg
 
@@ -135,7 +137,7 @@ def _emit(path: str, cfg: AppConfig, payload: dict) -> None:
 
 
 def _snip_table(args: argparse.Namespace):
-    if getattr(args, "snip_table", None):
+    if args.snip_table:
         return dataio.load_snip_table(args.snip_table)
     return DEFAULT_SNIP_TABLE
 
@@ -173,7 +175,7 @@ def _histogram_payload(hist) -> dict:
         "bin_edges": [float(e) for e in hist.edges],
         "mass": [float(m) for m in hist.mass],
         "total_pairs": hist.total,
-        "empty": hist.is_empty,
+        "empty": hist.total == 0,
     }
 
 
@@ -215,7 +217,8 @@ def _cmd_analyze_snip(args: argparse.Namespace, cfg: AppConfig) -> None:
 def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> None:
     records = [rec for path in args.dets for rec in dataio.load_detection_records(path)]
     gate = UNBOUNDED_RANGE if args.naive else cfg.scale_range  # as strategy_detections gates
-    index = _FusionIndex(*dataio._detection_rows(records, True), gate, cfg.soft_nms)
+    rows = dataio._detection_rows(records, True, file_order=True)  # numbered as read
+    index = _FusionIndex(*rows, gate, cfg.soft_nms)
     _, fused = index.probe(gate, cfg.fusion_top_k)
     _emit(args.out, cfg, {"detections": dataio._table_records(fused)})
 
@@ -267,7 +270,7 @@ def _cmd_search(args: argparse.Namespace, cfg: AppConfig) -> None:
             dataset, per_resolution, hull, cfg.soft_nms, cfg.fusion_top_k, cfg.eval
         ))
     best, trace = greedy_range_search(cfg.search, oracle)
-    best_ap = next(ap for rng, ap in trace if (rng.lower, rng.upper) == (best.lower, best.upper))
+    best_ap = dict(trace)[best]
     _emit(args.out, cfg, {
         "best_range": best.to_pair(),
         "best_ap": best_ap,

@@ -123,7 +123,7 @@ class AppConfig:
         return replace(self, seed=seed, detector=replace(self.detector, seed=seed))
 
 
-def apply_override(data: dict, assignment: str) -> dict:
+def apply_override(data: dict, assignment: str) -> None:
     """Apply one 'dotted.path=json_value' override to a config dict."""
     if "=" not in assignment:
         raise ValueError(f"expected 'path=value', got {assignment!r}")
@@ -141,7 +141,6 @@ def apply_override(data: dict, assignment: str) -> dict:
         if not isinstance(node, dict):
             raise ValueError(f"config path {path!r} does not address a section")
     node[keys[-1]] = value
-    return data
 
 
 def parse_range(text: str) -> ScaleRange:

@@ -226,10 +226,12 @@ def _detection(rec: dict, context: str) -> Detection:
                   _id(rec, "resolution_index", context, -1))
 
 
-def _detection_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray]:
+def _detection_rows(records: list, tagged: bool,
+                    file_order: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The detection table of `records` and each row's scale_factor (1.0 if none).
-    Untagged rows keep file order and their resolution index. Tagged, factor groups
-    run largest first, each in file order; resolution k is the k-th largest factor."""
+    Untagged rows keep file order and their resolution index. Tagged, resolution k is
+    the k-th largest factor, and factor groups run largest first, each in file order,
+    unless the rows keep `file_order`."""
     rows = _column_rows(records, tagged)
     if rows is None:  # the per-record rules raise the first fault; tagged, all tags go first
         pairs = [(rec, f"detection #{i}") for i, rec in enumerate(records)]
@@ -239,9 +241,10 @@ def _detection_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray
         rows = _detection_table([d for _, d in checked]), np.array([f for f, _ in checked])
     table, factors = rows
     if tagged:
-        order = np.argsort(-factors, kind="stable")
-        table, factors = table[order], factors[order]
-        table[:, _RESOLUTION] = np.cumsum(np.diff(factors, prepend=factors[:1]) != 0)
+        ranked = factors[order := np.argsort(-factors, kind="stable")]
+        table[order, _RESOLUTION] = np.cumsum(np.diff(ranked, prepend=ranked[:1]) != 0)
+        if not file_order:
+            table, factors = table[order], ranked
     return table, factors
 
 

@@ -86,9 +86,6 @@ class EvalConfig:
         if not 0.0 < self.small_area < self.large_area:
             raise ValueError("area bucket edges must satisfy 0 < small < large")
 
-    def bucket_of(self, area: float) -> str:
-        return BUCKET_NAMES[self._bucket(area)]
-
     def _bucket(self, area):
         """Index into BUCKET_NAMES of the bucket of `area`, a number or an array."""
         return 3 - (area <= self.large_area) - (area < self.small_area)

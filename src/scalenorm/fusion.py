@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (
-    _CATEGORY, _H, _IMAGE, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, Detection,
+    _CATEGORY, _H, _IMAGE, _RESOLUTION, _SCORE, _W, _X, _Y, UNBOUNDED_RANGE, BBox, Detection,
     ScaleRange, _detection_table, _detections, iou_matrix, to_corners,
 )
 
@@ -104,10 +104,19 @@ class _FusionIndex:
 
     def __init__(self, table: np.ndarray, factors: np.ndarray, hull: ScaleRange,
                  cfg: SoftNmsConfig | None = None):
-        scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
-        inside = hull.contains(scale)
-        self.table, self.scale = table[inside], scale[inside]
-        self.table[:, :4] *= (1.0 / factors[inside])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # a box this breaks is named below
+            scale = np.sqrt(table[:, _W] * table[:, _H])  # instance_scale, bit for bit
+            inside = hull.contains(scale)
+            self.table, self.scale = table[inside], scale[inside]
+            self.table[:, :4] *= (1.0 / factors[inside])[:, None]
+        box = self.table[:, :4]
+        if not (np.isfinite(box).all() and (box[:, :2] >= 0).all() and (box[:, 2:] > 0).all()):
+            for i, row in zip(np.flatnonzero(inside).tolist(), box.tolist()):
+                try:
+                    BBox(*row)  # names the rule that the row breaks
+                except ValueError as exc:
+                    raise ValueError(
+                        f"detection #{i} at scale factor {factors[i]}: {exc}") from None
         self.cfg = cfg or SoftNmsConfig()
         self._picks: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -182,6 +191,8 @@ def fuse_multiscale(
     The pooled list is sorted deterministically before suppression, so the
     result does not depend on the order resolutions are supplied in. Each
     image is fused on its own and keeps its top `top_k` (None: all) survivors.
+    A box that projection under- or overflows raises ValueError naming the
+    detection by its place in the flattened lists (`detection #i`).
     """
     if top_k is not None and (not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1):
         raise ValueError(f"top_k must be None or an integer >= 1, got {top_k!r}")

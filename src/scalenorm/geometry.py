@@ -32,14 +32,6 @@ class BBox:
             raise ValueError(f"box origin outside image: x={self.x!r}, y={self.y!r}")
 
     @property
-    def x2(self) -> float:
-        return self.x + self.w
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.h
-
-    @property
     def area(self) -> float:
         return self.w * self.h
 
@@ -117,9 +109,6 @@ class PyramidSpec:
 
     def __iter__(self):
         return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
 
 
 def instance_scale(box: BBox, factor: float = 1.0) -> float:

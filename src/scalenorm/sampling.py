@@ -177,10 +177,6 @@ class ScaleHistogram:
     mass: np.ndarray
     total: int
 
-    @property
-    def is_empty(self) -> bool:
-        return self.total == 0
-
 
 def default_bin_edges() -> np.ndarray:
     """64 log-spaced scale bins from 1 to 2560 pixels."""

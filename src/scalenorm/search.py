@@ -76,22 +76,18 @@ def greedy_range_search(
     The trace lists every distinct range probed, in first-probe order, with
     its AP. Oracle failures raise SearchAborted with the partial trace.
     """
-    probed: dict[tuple[float, float], float] = {}
-    trace: list[tuple[ScaleRange, float]] = []
+    probed: dict[ScaleRange, float] = {}  # range -> AP, in first-probe order
 
     def probe(lower: float, upper: float) -> float:
-        key = (lower, upper)
-        if key not in probed:
-            rng = ScaleRange(lower, upper)
+        rng = ScaleRange(lower, upper)
+        if rng not in probed:
             try:
-                result = oracle.query(rng)
+                probed[rng] = oracle.query(rng).ap
             except Exception as exc:
                 raise SearchAborted(
-                    f"oracle failed on range [{lower}, {upper}]: {exc}", trace
+                    f"oracle failed on range [{lower}, {upper}]: {exc}", list(probed.items())
                 ) from exc
-            probed[key] = result.ap
-            trace.append((rng, result.ap))
-        return probed[key]
+        return probed[rng]
 
     lower, upper = space.initial.lower, space.initial.upper
     while True:
@@ -102,4 +98,4 @@ def greedy_range_search(
         upper = max((c for c in reversed(space.upper_candidates) if lower < c <= upper),
                     key=lambda c: probe(lower, c))
         if (lower, upper) == start:
-            return ScaleRange(lower, upper), trace
+            return ScaleRange(lower, upper), list(probed.items())

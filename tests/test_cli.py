@@ -180,6 +180,32 @@ BAD_INPUTS = [
                  "expected 'lower,upper', got 'a,560'", id="non-numeric-scale-range-lower"),
     pytest.param(EVAL + ["--scale-range", "16,b"], PERFECT_DETECTIONS,
                  "expected 'lower,upper', got '16,b'", id="non-numeric-scale-range-upper"),
+    # A box valid as read can break once projected; the message numbers it in file order.
+    pytest.param(FUSE + ["--naive"], [dict(PERFECT_DETECTIONS[0], scale_factor=1.0),
+                                      dict(PERFECT_DETECTIONS[1], bbox=[0, 0, 5e-324, 10],
+                                           scale_factor=4.0)],
+                 "detection #1 at scale factor 4.0: degenerate box: w=0.0, h=2.5",
+                 id="projection-underflow"),
+    pytest.param(FUSE + ["--naive"], [dict(PERFECT_DETECTIONS[1], bbox=[1e308, 0, 1e308, 10],
+                                           scale_factor=0.25),
+                                      dict(PERFECT_DETECTIONS[0], scale_factor=1.0)],
+                 "detection #0 at scale factor 0.25: non-finite box: "
+                 "BBox(x=inf, y=0.0, w=inf, h=40.0)", id="projection-overflow"),
+    pytest.param(SIMULATE + ["--seed", "-1"], None, "--seed: expected an integer >= 0, got -1",
+                 id="negative-seed-flag-simulate"),
+    pytest.param(["search", "--simulate", "--images", "2", "--seed", "-1", "--out", "OUT"], None,
+                 "--seed: expected an integer >= 0, got -1", id="negative-seed-flag-search"),
+    pytest.param(STAGE_HIST, dict(PERFECT_ANNOTATIONS, images=[IMAGE, IMAGE]),
+                 "image 1: duplicate id", id="duplicate-image-id"),
+    pytest.param(STAGE_HIST, with_image(height=0, width=4), "image 1: non-positive size 0x4",
+                 id="zero-height"),
+    pytest.param(FUSE, {"dets": PERFECT_DETECTIONS},
+                 "detection file must be a JSON list or an object with a 'detections' list",
+                 id="detections-under-wrong-key"),
+    pytest.param(SIMULATE + ["--set", "=1"], None, "empty config path in '=1'",
+                 id="empty-override-path"),
+    pytest.param(SIMULATE + ["--set", "seed.x=1"], None,
+                 "config path 'seed.x' does not address a section", id="override-below-scalar"),
 ]
 
 
@@ -546,6 +572,7 @@ class TestErrorSurface:
         assert err.startswith("error: lookup entry #1: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # a NumPy warning on the way fails the probe too
     @pytest.mark.parametrize("argv, data, message", BAD_INPUTS)
     def test_bad_input_names_record_and_field(
         self, tmp_path, annotations, capsys, argv, data, message

@@ -230,3 +230,15 @@ class TestWriters:
         write_json(tmp_path / "ok.json", {"x": 1})
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+    def test_failed_replace_leaves_no_partial_file(self, tmp_path):
+        """The target is a directory, so the final rename fails: the temporary
+        file goes and the directory keeps what it held."""
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept")
+        with pytest.raises(OSError):
+            write_json(target, {"x": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept"

@@ -16,7 +16,7 @@ from scalenorm import (
     ap_by_scale_report,
     evaluate,
 )
-from scalenorm.evaluation import _DetectionRows, _GroundTruth, _score
+from scalenorm.evaluation import BUCKET_NAMES, _DetectionRows, _GroundTruth, _score
 from scalenorm.geometry import _detection_table, iou_matrix
 
 from conftest import corner_rows, make_instance
@@ -336,10 +336,10 @@ class TestEvalConfigValidation:
 
     def test_bucket_assignment(self):
         cfg = EvalConfig()
-        assert cfg.bucket_of(1023.9) == "small"
-        assert cfg.bucket_of(1024.0) == "medium"
-        assert cfg.bucket_of(9216.0) == "medium"
-        assert cfg.bucket_of(9216.1) == "large"
+        assert BUCKET_NAMES[cfg._bucket(1023.9)] == "small"
+        assert BUCKET_NAMES[cfg._bucket(1024.0)] == "medium"
+        assert BUCKET_NAMES[cfg._bucket(9216.0)] == "medium"
+        assert BUCKET_NAMES[cfg._bucket(9216.1)] == "large"
 
 
 def box_det(x, y, w, h, score, image_id=1, category_id=1):

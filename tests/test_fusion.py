@@ -252,6 +252,28 @@ class TestFuseMultiscale:
         naive = fuse_multiscale([(1.0, dets)], UNBOUNDED_RANGE)
         assert isn == naive
 
+    def test_scaling_factor_must_be_positive(self):
+        dets = [make_detection(BBox(0, 0, 10, 10), 0.9, resolution_index=0)]
+        with pytest.raises(ValueError, match=r"^scaling factor must be positive: 0\.0$"):
+            fuse_multiscale([(1.0, dets), (0.0, dets)], UNBOUNDED_RANGE)
+
+    @pytest.mark.filterwarnings("error")
+    def test_projected_underflow_names_the_detection(self):
+        """Detections are numbered by their place in the flattened input lists."""
+        good = Detection(BBox(10, 10, 100, 100), 1, 0.8, 1, 0)
+        tiny = Detection(BBox(0, 0, 5e-324, 10), 1, 0.9, 1, 1)
+        with pytest.raises(ValueError) as err:
+            fuse_multiscale([(1.0, [good]), (4.0, [good, tiny])], UNBOUNDED_RANGE)
+        assert str(err.value) == "detection #2 at scale factor 4.0: degenerate box: w=0.0, h=2.5"
+
+    @pytest.mark.filterwarnings("error")
+    def test_projected_overflow_names_the_detection(self):
+        huge = Detection(BBox(1e308, 0, 1e308, 10), 1, 0.9, 1, 0)
+        with pytest.raises(ValueError) as err:
+            fuse_multiscale([(0.25, [huge])], UNBOUNDED_RANGE)
+        assert str(err.value) == (
+            "detection #0 at scale factor 0.25: non-finite box: BBox(x=inf, y=0.0, w=inf, h=40.0)")
+
 
 class TestPerImageFusion:
     """Several images in one call: each is fused on its own, in image id order."""
@@ -392,7 +414,7 @@ class TestColumnarFusion:
             full = fuse_multiscale(stack, window, cfg, top_k=None)
 
             got = sorted(
-                (d.category_id, d.bbox.x, d.bbox.y, d.bbox.x2, d.bbox.y2, d.score)
+                (d.category_id, d.bbox.x, d.bbox.y, d.bbox.x + d.bbox.w, d.bbox.y + d.bbox.h, d.score)
                 for d in full
             )
             # Same arithmetic in the same order as the reference: equal bits.

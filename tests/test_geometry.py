@@ -38,7 +38,7 @@ class TestBBox:
 
     def test_derived_fields(self):
         b = BBox(2, 3, 4, 5)
-        assert (b.x2, b.y2, b.area) == (6, 8, 20)
+        assert (b.x + b.w, b.y + b.h, b.area) == (6, 8, 20)
 
 
 class TestValueTypes:

@@ -100,13 +100,13 @@ class TestDistributions:
             [make_instance(100.0)], IsnPolicy(PyramidSpec((1.0,)), RANGE)
         )
         assert trained.total == 1 and trained.mass.sum() == pytest.approx(1.0)
-        assert ignored.is_empty and ignored.mass.sum() == 0.0
+        assert ignored.total == 0 and ignored.mass.sum() == 0.0
 
     def test_empty_dataset_flagged(self):
         trained, ignored = resized_scale_distributions(
             [], IsnPolicy(PYRAMID, RANGE)
         )
-        assert trained.is_empty and ignored.is_empty
+        assert trained.total == 0 and ignored.total == 0
 
     def test_isn_bins_never_shared(self, rng):
         insts = [

@@ -18,7 +18,6 @@ from scalenorm import (
     ScaleRange,
     SoftNmsConfig,
     UNBOUNDED_RANGE,
-    detection_probability,
     evaluate,
     fuse_multiscale,
     generate_dataset,
@@ -29,7 +28,8 @@ from scalenorm import evaluation
 from scalenorm.dataio import Dataset, ImageInfo
 from scalenorm.geometry import instance_scale, project_box
 from scalenorm.simulate import (
-    _factor_key, _pcg64_states, isn_range_evaluator, localization_noise, octaves_outside_band,
+    _factor_key, _pcg64_states, detection_probability, isn_range_evaluator, localization_noise,
+    octaves_outside_band,
 )
 
 PYRAMID = PyramidSpec((4.0, 2.0, 1.0, 0.5, 0.25))

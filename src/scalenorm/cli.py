@@ -125,7 +125,7 @@ def _effective_config(args: argparse.Namespace) -> AppConfig:
             apply_override(data, assignment)
         cfg = AppConfig.from_dict(data)
     if args.seed is not None:
-        if args.seed < 0:  # with_seed would name the detector's seed
+        if args.seed < 0:  # with_seed would name the config key, not the flag
             raise ValueError(f"--seed: expected an integer >= 0, got {args.seed}")
         cfg = cfg.with_seed(args.seed)
     return cfg

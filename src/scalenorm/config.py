@@ -120,7 +120,8 @@ class AppConfig:
         return _decode(data, cls, "")
 
     def with_seed(self, seed: int) -> "AppConfig":
-        return replace(self, seed=seed, detector=replace(self.detector, seed=seed))
+        checked = replace(self, seed=seed)  # a bad seed is named by its config key
+        return replace(checked, detector=replace(self.detector, seed=seed))
 
 
 def apply_override(data: dict, assignment: str) -> None:

@@ -361,9 +361,11 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the target, not the deleted temporary file
+            raise type(exc)(f"cannot write {os.fspath(path)!r}: {exc.strerror}") from None
         raise
 
 

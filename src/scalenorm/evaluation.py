@@ -163,9 +163,10 @@ class _DetectionRows:
         self.buckets, self.scale = cfg._bucket(area), np.sqrt(area)  # instance_scale, bit for bit
         self.count, self.single = np.zeros((2, len(table)), dtype=int)
         self.iou, self.multi = np.zeros(len(table)), {}
+        corners = to_corners(table[:, :4])
         for img in set(truth.images.tolist()) & set(self.images.tolist()):
             rows, gts = np.flatnonzero(self.images == img), np.flatnonzero(truth.images == img)
-            ious = iou_matrix(to_corners(table[rows, :4]), truth.corners[gts])
+            ious = iou_matrix(corners[rows], truth.corners[gts])
             hits = (ious >= cfg.iou_thresholds[0]) & (self.cats[rows, None] == truth.cats[gts])
             self.count[rows], self.single[rows] = hits.sum(axis=1), gts[hits.argmax(axis=1)]
             self.iou[rows] = np.where(hits, ious, 0.0).max(axis=1)

@@ -22,7 +22,10 @@ functions build an index over their own range and probe it once; range search
 probes one index over the whole dataset. A block's survivors and final scores
 depend only on which of its rows are in range, so the index remembers them by
 that mask, and a probe runs the greedy loop only for the blocks its range
-changed. `Detection` records are built only for the output.
+changed. `Detection` records are built only for the output, from checked rows
+without re-running the constructors' checks: the input rows passed them (as
+records or in `dataio`'s column checks), the index checks each projected row as
+`BBox` would, and Soft-NMS only lowers scores that were in [0, 1].
 """
 
 from __future__ import annotations
@@ -126,10 +129,11 @@ class _FusionIndex:
         t = self.table
         order = np.lexsort(_order_keys(t) + (t[:, _CATEGORY],))
         edges = np.diff(t[:, [_IMAGE, _CATEGORY]][order], axis=0).any(axis=1)
-        blocks = []
-        for rows in np.split(order, np.flatnonzero(edges) + 1):
-            corners = to_corners(t[rows, :4])
-            blocks.append((rows, _decay_factors(iou_matrix(corners, corners), self.cfg)))
+        bounds = [0, *(np.flatnonzero(edges) + 1).tolist(), len(t)]
+        corners, blocks = to_corners(t[:, :4]), []
+        for start, stop in zip(bounds, bounds[1:]):
+            c = corners[rows := order[start:stop]]
+            blocks.append((rows, _decay_factors(iou_matrix(c, c), self.cfg)))
         return blocks if len(t) else []
 
     def probe(self, scale_range: ScaleRange, top_k: int | None) -> tuple[np.ndarray, np.ndarray]:

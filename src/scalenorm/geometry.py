@@ -160,12 +160,20 @@ def _detection_table(dets: list[Detection]) -> np.ndarray:
     return table
 
 
+def _checked(cls: type, fields: dict):
+    """A `cls` record of `fields`, values that passed `cls`'s checks: not run again."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _detections(table: np.ndarray) -> list[Detection]:
-    """The detections of a table's rows: `_detection_table`'s inverse."""
-    return [
-        Detection(BBox(x, y, w, h), int(category), score, int(image), int(resolution))
-        for x, y, w, h, score, category, resolution, image in table.tolist()
-    ]
+    """The detections of a table's checked rows (see `fusion`): `_detection_table`'s inverse."""
+    return [_checked(Detection, {"bbox": _checked(BBox, {"x": x, "y": y, "w": w, "h": h}),
+                                 "category_id": category, "score": score, "image_id": image,
+                                 "resolution_index": resolution})
+            for (x, y, w, h, score), (category, resolution, image)
+            in zip(table[:, :_CATEGORY].tolist(), table[:, _CATEGORY:].astype(np.int64).tolist())]
 
 
 def to_corners(xywh: np.ndarray) -> np.ndarray:
@@ -178,8 +186,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter / (area_a + area_b - inter); 0 for disjoint pairs."""
     if not len(a) or not len(b):
         return np.zeros((len(a), len(b)))
-    iw = np.clip(np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0]), 0.0, None)
-    ih = np.clip(np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1]), 0.0, None)
+    iw = np.maximum(np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0]), 0.0)
+    ih = np.maximum(np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1]), 0.0)
     inter = iw * ih
     area_a, area_b = ((c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1]) for c in (a, b))
     return inter / (area_a[:, None] + area_b - inter)

@@ -49,6 +49,18 @@ def make_detection(
     return Detection(box, category_id, score, image_id, resolution_index)
 
 
+def assert_as_constructed(dets: list[Detection]) -> None:
+    """Each record compares ==, hashes and reprs as the record that the checking
+    constructors build from the same fields as plain Python floats and ints."""
+    built = [
+        Detection(BBox(*(float(v) for v in (d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h))),
+                  int(d.category_id), float(d.score), int(d.image_id), int(d.resolution_index))
+        for d in dets
+    ]
+    assert [(d, hash(d), repr(d), vars(d), vars(d.bbox)) for d in dets] == [
+        (b, hash(b), repr(b), vars(b), vars(b.bbox)) for b in built]
+
+
 def corner_rows(*boxes: BBox) -> np.ndarray:
     """Boxes as the (N, 4) corner rows `geometry.iou_matrix` takes."""
     return to_corners(np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float))

@@ -191,6 +191,9 @@ BAD_INPUTS = [
                                       dict(PERFECT_DETECTIONS[0], scale_factor=1.0)],
                  "detection #0 at scale factor 0.25: non-finite box: "
                  "BBox(x=inf, y=0.0, w=inf, h=40.0)", id="projection-overflow"),
+    # DIR is an existing directory in the working directory.
+    pytest.param(FUSE[:-1] + ["DIR"], [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS],
+                 "cannot write 'DIR': Is a directory", id="out-names-a-directory"),
     pytest.param(SIMULATE + ["--seed", "-1"], None, "--seed: expected an integer >= 0, got -1",
                  id="negative-seed-flag-simulate"),
     pytest.param(["search", "--simulate", "--images", "2", "--seed", "-1", "--out", "OUT"], None,
@@ -575,12 +578,14 @@ class TestErrorSurface:
     @pytest.mark.filterwarnings("error")  # a NumPy warning on the way fails the probe too
     @pytest.mark.parametrize("argv, data, message", BAD_INPUTS)
     def test_bad_input_names_record_and_field(
-        self, tmp_path, annotations, capsys, argv, data, message
+        self, tmp_path, annotations, capsys, monkeypatch, argv, data, message
     ):
         """Exit 1 with one `error:` line naming the record and field, and no output file."""
         bad = tmp_path / "bad.json"
         if data is not None:
             bad.write_text(json.dumps(data))
+        (tmp_path / "DIR").mkdir()
+        monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.iterdir())
         paths = {"BAD": bad, "ANN": annotations, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
         assert run_cli(*(paths.get(a, a) for a in argv)) == 1

@@ -122,6 +122,12 @@ class TestDefaults:
         cfg = AppConfig().with_seed(42)
         assert cfg.seed == 42 and cfg.detector.seed == 42
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_with_seed_names_the_config_key(self, seed):
+        with pytest.raises(ValueError) as err:
+            AppConfig().with_seed(seed)
+        assert str(err.value) == f"config key 'seed': expected an integer >= 0, got {seed!r}"
+
 
 class TestOverrides:
     def test_nested_field(self):

@@ -17,6 +17,8 @@ from scalenorm.dataio import (
     write_json,
 )
 
+from conftest import assert_as_constructed
+
 MINIMAL = {
     "images": [{"id": 1, "height": 480, "width": 640}],
     "annotations": [
@@ -108,6 +110,23 @@ class TestDetectionDumps:
         path = tmp_path / "dets.json"
         write_json(path, {"detections": detections_to_records(dets)})
         assert load_detections(path) == dets
+
+    def test_loaded_records_are_as_constructed(self, tmp_path):
+        records = [
+            {"image_id": 2**53, "category_id": 3, "bbox": [0, -0.0, 1e-300, 7.5], "score": 1},
+            {"image_id": -4, "category_id": 1, "bbox": [2.5, 3, 4, 5], "score": 0,
+             "resolution_index": 6, "scale_factor": 0.5},
+        ]
+        path = tmp_path / "dets.json"
+        write_json(path, records)
+        loaded = load_detections(path)
+        assert [(d.bbox.y, d.image_id, d.resolution_index) for d in loaded] == [
+            (0.0, 2**53, -1), (3.0, -4, 6)]
+        assert_as_constructed(loaded)
+        for rec in records:
+            rec.setdefault("scale_factor", 2.0)
+        assert_as_constructed([d for _, dets in tagged_detections_from_records(records)
+                               for d in dets])
 
     def test_bare_list_accepted(self, tmp_path):
         path = tmp_path / "dets.json"

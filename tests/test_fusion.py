@@ -17,7 +17,7 @@ from scalenorm import (
 )
 from scalenorm import fusion
 
-from conftest import make_detection, random_box
+from conftest import assert_as_constructed, make_detection, random_box
 from oracles import classic_nms, soft_nms_reference
 
 RANGE = ScaleRange(16.0, 560.0)
@@ -56,6 +56,27 @@ class TestGatePredictions:
         once = gate_predictions(dets, 1.0, RANGE)
         twice = gate_predictions(once, 1.0, RANGE)
         assert twice == once
+
+    @pytest.mark.filterwarnings("error")
+    def test_projection_faults_are_named(self):
+        good = Detection(BBox(10, 10, 100, 100), 1, 0.8, 1, 0)
+        tiny = Detection(BBox(0, 0, 5e-324, 10), 1, 0.9, 1, 1)
+        with pytest.raises(ValueError) as err:
+            gate_predictions([good, tiny], 4.0, UNBOUNDED_RANGE)
+        assert str(err.value) == "detection #1 at scale factor 4.0: degenerate box: w=0.0, h=2.5"
+        huge = Detection(BBox(1e308, 0, 1e308, 10), 1, 0.9, 1, 0)
+        with pytest.raises(ValueError) as err:
+            gate_predictions([huge], 0.25, UNBOUNDED_RANGE)
+        assert str(err.value) == (
+            "detection #0 at scale factor 0.25: non-finite box: BBox(x=inf, y=0.0, w=inf, h=40.0)")
+
+    def test_records_are_as_constructed(self, rng):
+        dets = [make_detection(random_box(rng, 300.0), float(rng.uniform(0.1, 1.0)),
+                               int(rng.integers(1, 4)), int(rng.integers(1, 3)), 2)
+                for _ in range(50)]
+        kept = gate_predictions(dets, 4.0, RANGE)
+        assert kept
+        assert_as_constructed(kept)
 
 
 class TestSoftNms:
@@ -273,6 +294,29 @@ class TestFuseMultiscale:
             fuse_multiscale([(0.25, [huge])], UNBOUNDED_RANGE)
         assert str(err.value) == (
             "detection #0 at scale factor 0.25: non-finite box: BBox(x=inf, y=0.0, w=inf, h=40.0)")
+
+
+class TestFusedRecords:
+    """Output records are built from checked rows without re-running the
+    constructors' checks, and are the records the constructors build."""
+
+    def test_fused_records_are_as_constructed(self, rng):
+        per_resolution = [
+            (factor, [make_detection(random_box(rng, 300.0), float(rng.uniform(0.0, 1.0)),
+                                     int(rng.integers(1, 4)), int(rng.integers(1, 4)), k)
+                      for _ in range(60)])
+            for k, factor in enumerate(POWER_OF_TWO_FACTORS)
+        ]
+        for top_k in (100, None):
+            fused = fuse_multiscale(per_resolution, RANGE, top_k=top_k)
+            assert len(fused) > 50
+            assert_as_constructed(fused)
+
+    def test_integer_and_boundary_fields_are_as_constructed(self):
+        dets = [Detection(BBox(0, -0.0, 1, 2), 3, 1, 2**53, 0),
+                Detection(BBox(5, 5, 1, 2), 1, 0, -(2**53), 7)]
+        assert_as_constructed(fuse_multiscale([(1.0, dets)], UNBOUNDED_RANGE, top_k=None))
+        assert_as_constructed(soft_nms(dets))
 
 
 class TestPerImageFusion:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scalenorm import BBox, Detection, Instance, PyramidSpec, ScaleRange
+from scalenorm import BBox, Detection, Instance, PyramidSpec, ScaleRange, SoftNmsConfig
+from scalenorm.fusion import _decay_factors
 from scalenorm.geometry import instance_scale, iou_matrix, project_box, resize_plan, to_corners
 
 from conftest import corner_rows, random_box
@@ -139,6 +140,17 @@ class TestIou:
         assert row[0] == 1.0
         assert row[1] == 0.0
         assert row[2] == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_touching_and_disjoint_boxes_overlap_by_positive_zero(self):
+        """Exactly +0.0, never -0.0, so every decay of such a pair is exactly 1.0."""
+        a = corner_rows(BBox(-0.0, 0, 2, 2))
+        b = corner_rows(BBox(2, 0, 2, 2), BBox(0, 2, 2, 2), BBox(2, 2, 1, 1), BBox(10, 0, 2, 2),
+                        BBox(0, 10, 2, 2), BBox(10, 10, 2, 2))
+        for ious in (iou_matrix(a, b), iou_matrix(b, a).T):
+            assert ious.tobytes() == np.zeros((1, 6)).tobytes()
+            for method in ("gaussian", "linear", "hard"):
+                decay = _decay_factors(ious, SoftNmsConfig(method=method))
+                assert decay.tobytes() == np.ones((1, 6)).tobytes()
 
     def test_symmetry_and_bounds(self, rng):
         for _ in range(300):

@@ -48,6 +48,8 @@ from scalenorm.fusion import (
 from scalenorm.geometry import _detection_table, iou_matrix, to_corners
 from scalenorm.simulate import isn_range_evaluator
 
+from conftest import assert_as_constructed
+
 FACTORS = (4.0, 2.0, 1.0, 0.5, 0.25, 3.0)
 SCORES = (0.9, 0.7, 0.5, 0.3, 0.05)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -111,6 +113,16 @@ def image_stacks(draw):
 
 
 class TestFusionProperties:
+    @PROPERTY
+    @given(stacks(), grid_ranges, nms_configs)
+    def test_records_from_checked_rows_are_as_constructed(self, stack, window, cfg):
+        """A checked table's rows come back as the records that built it, and
+        fused rows as the records the checking constructors build."""
+        dets = [d for _, ds in stack for d in ds]
+        assert_as_constructed(rebuilt := _detections(_detection_table(dets)))
+        assert [(d, repr(d)) for d in rebuilt] == [(d, repr(d)) for d in dets]
+        assert_as_constructed(fuse_multiscale(stack, window, cfg, None))
+
     @PROPERTY
     @given(stacks(), ranges, nms_configs, st.randoms(use_true_random=False))
     def test_resolution_order_does_not_matter(self, stack, window, cfg, random):

@@ -287,11 +287,12 @@ def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> None:
         crowd_fraction=args.crowd_fraction,
     )
     per_resolution = simulate_detections(dataset, cfg.pyramid, cfg.detector)
-    _emit(args.out, cfg, dataio.dataset_to_dict(dataset))
-    records = []
-    for factor, dets in per_resolution:
-        records.extend(dataio.detections_to_records(dets, factor))
-    _emit(args.out_dets, cfg, {"detections": records})
+    with dataio.restored_on_error(args.out):  # both files or neither
+        _emit(args.out, cfg, dataio.dataset_to_dict(dataset))
+        records = []
+        for factor, dets in per_resolution:
+            records.extend(dataio.detections_to_records(dets, factor))
+        _emit(args.out_dets, cfg, {"detections": records})
 
 
 def _cmd_stage_hist(args: argparse.Namespace, cfg: AppConfig) -> None:

@@ -12,6 +12,7 @@ record and field on error; an id must be within 2**53 and a number finite.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -367,6 +368,29 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         if isinstance(exc, OSError):  # name the target, not the deleted temporary file
             raise type(exc)(f"cannot write {os.fspath(path)!r}: {exc.strerror}") from None
         raise
+
+
+@contextlib.contextmanager
+def restored_on_error(path: str | os.PathLike):
+    """Put `path` back as it was if the block raises: its old file, kept
+    aside under a temporary name meanwhile, or no file if it had none. A
+    command that writes `path` and then another file in the block writes
+    both or neither."""
+    old = None
+    if os.path.isfile(path):
+        fd, old = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        os.close(fd)
+        os.replace(path, old)
+    try:
+        yield
+    except BaseException:
+        if old is not None:
+            os.replace(old, path)
+        elif os.path.isfile(path):
+            os.unlink(path)
+        raise
+    if old is not None:
+        os.unlink(old)
 
 
 _SCALARS = (str, int, float, type(None))  # a bool is an int

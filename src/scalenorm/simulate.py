@@ -13,6 +13,12 @@ factor_key])` and stream (image, resolution) of the spurious detections is
 `default_rng([seed, image, factor_key, 0x5F])`. One call seeds all of its
 streams in one batched pass that reproduces those generators' states bit for
 bit, then draws from each in turn with one reused generator.
+
+Each record's values come from one generator call, with the same bits as
+the scalar draws they stand for: one `random(4)` is four `uniform` draws,
+since `uniform(low, high)` is `low + (high - low) * random()`; and one
+`standard_normal(5)` is `normal(0, 1, 4)` followed by `normal(mean, std)`,
+since `normal(loc, scale)` is `loc + scale * standard_normal()`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ _FP_STREAM = 0x5F
 # generate_dataset's images (height, width) and log-uniform instance scale bounds.
 _IMAGE_SIZE = (480, 640)
 _SCALE_BOUNDS = (4.0, 640.0)
+_LOG_HALF, _LOG_TWO = math.log(0.5), math.log(2.0)  # _random_box's aspect bounds
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
 _WORD = 0xFFFFFFFF
@@ -203,7 +210,7 @@ def simulate_detections(
                 next_stream()
                 if rng.random() >= detection_probability(resized, profile):
                     continue
-                dx, dy, dw, dh = rng.normal(0.0, 1.0, 4).tolist()
+                dx, dy, dw, dh, z = rng.standard_normal(5).tolist()
                 try:  # the noise grows without bound away from the sweet band
                     sigma = localization_noise(resized, profile)
                     jittered = BBox(
@@ -217,7 +224,7 @@ def simulate_detections(
                         f"localization jitter out of float range at pyramid factor {factor}: "
                         "lower detector.loc_noise_frac or detector.loc_noise_growth"
                     ) from exc
-                score = _clip01(float(rng.normal(profile.tp_score_mean, profile.tp_score_std)))
+                score = _clip01(profile.tp_score_mean + profile.tp_score_std * z)
                 dets.append(Detection(jittered, inst.category_id, score, img.id, index))
             if spurious:  # Poisson count, then per detection: box, score, category
                 next_stream()
@@ -233,13 +240,18 @@ def simulate_detections(
 
 def _random_box(rng: np.random.Generator, low: float, high: float, height: int, width: int) -> BBox:
     """Log-uniform scale in [low, high] and aspect in [1/2, 2], uniform
-    position inside a `height` x `width` image (drawn in that order)."""
-    scale = math.exp(float(rng.uniform(math.log(low), math.log(high))))
-    ratio = math.exp(float(rng.uniform(math.log(0.5), math.log(2.0))))
+    position inside a `height` x `width` image (drawn in that order). One
+    `random(4)` call gives the four draws, each scaled as `uniform` scales
+    it, `low + (high - low) * u` (at low 0, `high * u`): the bits of four
+    `uniform` calls."""
+    a, b, c, d = rng.random(4).tolist()
+    log_low = math.log(low)
+    scale = math.exp(log_low + (math.log(high) - log_low) * a)
+    ratio = math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * b)
     w = scale * math.sqrt(ratio)
     h = scale / math.sqrt(ratio)
-    x = float(rng.uniform(0.0, max(1e-6, width - w)))
-    y = float(rng.uniform(0.0, max(1e-6, height - h)))
+    x = max(1e-6, width - w) * c
+    y = max(1e-6, height - h) * d
     return BBox(x, y, w, h)
 
 
@@ -256,6 +268,10 @@ def generate_dataset(
         raise ValueError("num_images must be positive")
     if num_categories < 1:
         raise ValueError(f"num_categories must be at least 1, got {num_categories}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if min_instances < 0:
+        raise ValueError(f"min_instances must be non-negative, got {min_instances}")
     if min_instances > max_instances:
         raise ValueError(f"min_instances {min_instances} exceeds max_instances {max_instances}")
     if not 0.0 <= crowd_fraction <= 1.0:

@@ -371,3 +371,35 @@ def simulate_reference(dataset, factors, profile):
                 rows.append((x, y, w, h, category, score, img.id, index))
         out.append(rows)
     return out
+
+
+def generate_reference(num_images, seed, num_categories=3, min_instances=1, max_instances=20,
+                       crowd_fraction=0.0):
+    """The seeded synthetic dataset with one scalar draw per value.
+
+    Returns (images, instances, categories): an (id, height, width) tuple per
+    480 x 640 image, an (x, y, w, h, category, iscrowd, id, image id) tuple
+    per instance in id order, and the {id, name} category dicts. One
+    `np.random.default_rng([seed, 0xDA7A])` draws, for each image in turn,
+    its instance count in [min_instances, max_instances], then for each of
+    its instances: log-uniform scale in [4, 640], log-uniform aspect in
+    [1/2, 2], x and y uniform over the positions that keep the box inside
+    the image (at least 1e-6 wide), category in [1, num_categories], and a
+    crowd flag with probability crowd_fraction.
+    """
+    rng = np.random.default_rng([seed, 0xDA7A])
+    height, width = 480, 640
+    images, instances = [], []
+    for image_id in range(1, num_images + 1):
+        images.append((image_id, height, width))
+        for _ in range(int(rng.integers(min_instances, max_instances + 1))):
+            scale = math.exp(rng.uniform(math.log(4.0), math.log(640.0)))
+            aspect = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            w, h = scale * math.sqrt(aspect), scale / math.sqrt(aspect)
+            x = rng.uniform(0.0, max(1e-6, width - w))
+            y = rng.uniform(0.0, max(1e-6, height - h))
+            category = int(rng.integers(1, num_categories + 1))
+            crowd = bool(rng.random() < crowd_fraction)
+            instances.append((x, y, w, h, category, crowd, len(instances) + 1, image_id))
+    categories = [{"id": c, "name": f"class_{c}"} for c in range(1, num_categories + 1)]
+    return images, instances, categories

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from scalenorm import (
-    AppConfig, EvalConfig, PyramidSpec, SoftNmsConfig, cli, fuse_multiscale, simulate_detections,
+    AppConfig, EvalConfig, PyramidSpec, SoftNmsConfig, cli, fuse_multiscale, generate_dataset,
+    simulate_detections,
 )
 from scalenorm.cli import main
 from scalenorm.dataio import (
@@ -194,6 +195,9 @@ BAD_INPUTS = [
     # DIR is an existing directory in the working directory.
     pytest.param(FUSE[:-1] + ["DIR"], [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS],
                  "cannot write 'DIR': Is a directory", id="out-names-a-directory"),
+    # simulate writes --out first; a failing --out-dets must take it back.
+    pytest.param(SIMULATE[:-1] + ["DIR"], None, "cannot write 'DIR': Is a directory",
+                 id="out-dets-names-a-directory"),
     pytest.param(SIMULATE + ["--seed", "-1"], None, "--seed: expected an integer >= 0, got -1",
                  id="negative-seed-flag-simulate"),
     pytest.param(["search", "--simulate", "--images", "2", "--seed", "-1", "--out", "OUT"], None,
@@ -373,6 +377,25 @@ class TestSimulateFuseEvalPipeline:
         ds = load_annotations(ann)
         tagged = tagged_detections_from_records(load_detection_records(dets))
         assert ds.instances and len(tagged) == 5
+
+    def test_failed_out_dets_restores_the_old_out(self, tmp_path, capsys):
+        """Both files or neither: an --out that existed keeps its old bytes."""
+        ann, dets, target = tmp_path / "ann.json", tmp_path / "dets.json", tmp_path / "DIR"
+        assert run_cli("simulate", "--images", 3, "--seed", 2, "--out", ann, "--out-dets", dets) == 0
+        old = ann.read_bytes()
+        target.mkdir()
+        assert run_cli("simulate", "--images", 2, "--seed", 5, "--out", ann, "--out-dets", target) == 1
+        assert capsys.readouterr().err == f"error: cannot write {str(target)!r}: Is a directory\n"
+        assert ann.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "ann.json", "dets.json"]
+
+    def test_rewriting_outputs_leaves_no_other_file(self, tmp_path):
+        ann, dets = tmp_path / "ann.json", tmp_path / "dets.json"
+        for seed in (2, 5):
+            assert run_cli("simulate", "--images", 2, "--seed", seed,
+                           "--out", ann, "--out-dets", dets) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.json", "dets.json"]
+        assert load_annotations(ann) == generate_dataset(2, 5)
 
     def test_ascending_pyramid_keeps_resolution_index(self, tmp_path):
         """Resolution k is the k-th largest factor however the pyramid is

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_reference
+from oracles import generate_reference, simulate_reference
 from scalenorm import (
     BBox,
     Detection,
@@ -190,6 +191,15 @@ class TestGenerateDataset:
     def test_rejects_bad_parameter_naming_it(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             generate_dataset(3, 1, **kwargs)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            generate_dataset(3, -1)
+
+    def test_negative_instance_bounds_are_named(self):
+        """Not three images without instances: no count can be drawn."""
+        with pytest.raises(ValueError, match=r"^min_instances must be non-negative, got -5$"):
+            generate_dataset(3, 1, min_instances=-5, max_instances=-1)
 
 
 class TestRunExperiment:
@@ -420,3 +430,38 @@ class TestReferenceAgreement:
         profile = DetectorProfile(fp_rate=fp_rate, seed=11)
         got = simulate_detections(dataset, PYRAMID, profile)
         assert as_rows(got) == simulate_reference(dataset, PYRAMID, profile)
+        # Every instance detected, scores clipped at both ends, and boxes
+        # widened by up to ~1e152, short of the float range `exp` overflows.
+        edge = DetectorProfile(p_detect_decay=1.0, loc_noise_growth=8.0, fp_rate=fp_rate,
+                               tp_score_mean=0.5, tp_score_std=2.0, seed=11)
+        rows = as_rows(simulate_detections(dataset, PYRAMID, edge))
+        assert rows == simulate_reference(dataset, PYRAMID, edge)
+        scores = [row[5] for factor_rows in rows for row in factor_rows]
+        assert 0.0 in scores and 1.0 in scores
+        assert max(row[2] for factor_rows in rows for row in factor_rows) > 1e150
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        num_images=st.integers(1, 6),
+        seed=st.sampled_from((0, 1, 4, 11, 2**32, 2**70)),
+        num_categories=st.integers(1, 4),
+        crowd_fraction=st.sampled_from((0.0, 0.2, 1.0)),
+        min_instances=st.integers(0, 5),
+        extra_instances=st.sampled_from((0, 1, 7, 30)),
+    )
+    def test_generate_dataset_equals_generate_reference(
+        self, num_images, seed, num_categories, crowd_fraction, min_instances, extra_instances
+    ):
+        """Field by field, the boxes bit for bit; the bounds include
+        `min_instances == max_instances` and `min_instances=0`."""
+        args = (num_images, seed, num_categories, min_instances,
+                min_instances + extra_instances, crowd_fraction)
+        dataset = generate_dataset(*args)
+        images, instances, categories = generate_reference(*args)
+        assert [(img.id, img.height, img.width) for img in dataset.images] == images
+        got = [(i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h, i.category_id, i.iscrowd, i.id, i.image_id)
+               for i in dataset.instances]
+        assert [row[4:] for row in got] == [row[4:] for row in instances]
+        bits = [struct.pack("<4d", *row[:4]) for row in got]
+        assert bits == [struct.pack("<4d", *row[:4]) for row in instances]
+        assert dataset.categories == categories

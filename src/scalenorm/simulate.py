@@ -48,9 +48,9 @@ from .geometry import (
 STRATEGIES = ("isn", "naive_ms", "single_scale")
 
 _FP_STREAM = 0x5F
-# generate_dataset's images (height, width) and log-uniform instance scale bounds.
+# generate_dataset's images (height, width) and the logs of its instance scale bounds.
 _IMAGE_SIZE = (480, 640)
-_SCALE_BOUNDS = (4.0, 640.0)
+_LOG_SCALE_BOUNDS = (math.log(4.0), math.log(640.0))
 _LOG_HALF, _LOG_TWO = math.log(0.5), math.log(2.0)  # _random_box's aspect bounds
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -230,7 +230,8 @@ def simulate_detections(
                 next_stream()
                 rh, rw = resize_plan(img.height, img.width, factor)
                 for _ in range(int(rng.poisson(profile.fp_rate))):
-                    box = _random_box(rng, 8.0, max(16.0, 0.5 * min(rh, rw)), rh, rw)
+                    box = _random_box(rng, math.log(8.0), math.log(max(16.0, 0.5 * min(rh, rw))),
+                                      rh, rw)
                     score = _clip01(float(rng.normal(profile.fp_score_mean, profile.fp_score_std)))
                     cat = cat_ids[int(rng.integers(len(cat_ids)))]
                     dets.append(Detection(box, cat, score, img.id, index))
@@ -238,18 +239,18 @@ def simulate_detections(
     return out
 
 
-def _random_box(rng: np.random.Generator, low: float, high: float, height: int, width: int) -> BBox:
-    """Log-uniform scale in [low, high] and aspect in [1/2, 2], uniform
-    position inside a `height` x `width` image (drawn in that order). One
+def _random_box(rng: np.random.Generator, log_low: float, log_high: float, height: int,
+                width: int) -> BBox:
+    """Log-uniform scale in [e**log_low, e**log_high] and aspect in [1/2, 2],
+    uniform position inside a `height` x `width` image (drawn in that order). One
     `random(4)` call gives the four draws, each scaled as `uniform` scales
     it, `low + (high - low) * u` (at low 0, `high * u`): the bits of four
     `uniform` calls."""
     a, b, c, d = rng.random(4).tolist()
-    log_low = math.log(low)
-    scale = math.exp(log_low + (math.log(high) - log_low) * a)
-    ratio = math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * b)
-    w = scale * math.sqrt(ratio)
-    h = scale / math.sqrt(ratio)
+    scale = math.exp(log_low + (log_high - log_low) * a)
+    root = math.sqrt(math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * b))  # of the aspect
+    w = scale * root
+    h = scale / root
     x = max(1e-6, width - w) * c
     y = max(1e-6, height - h) * d
     return BBox(x, y, w, h)
@@ -277,22 +278,22 @@ def generate_dataset(
     if not 0.0 <= crowd_fraction <= 1.0:
         raise ValueError(f"crowd_fraction must lie in [0, 1], got {crowd_fraction!r}")
     rng = np.random.default_rng([seed, 0xDA7A])
+    height, width = _IMAGE_SIZE
+    log_low, log_high = _LOG_SCALE_BOUNDS
     images = []
     instances = []
     next_id = 1
     for img_id in range(1, num_images + 1):
-        images.append(ImageInfo(img_id, *_IMAGE_SIZE))
+        images.append(ImageInfo(img_id, height, width))
         count = int(rng.integers(min_instances, max_instances + 1))
-        for _ in range(count):
-            instances.append(
-                Instance(
-                    bbox=_random_box(rng, *_SCALE_BOUNDS, *_IMAGE_SIZE),
-                    category_id=int(rng.integers(1, num_categories + 1)),
-                    iscrowd=bool(rng.random() < crowd_fraction),
-                    id=next_id,
-                    image_id=img_id,
-                )
-            )
+        for _ in range(count):  # box, category, crowd flag: drawn in argument order
+            instances.append(Instance(
+                _random_box(rng, log_low, log_high, height, width),
+                int(rng.integers(1, num_categories + 1)),
+                bool(rng.random() < crowd_fraction),
+                next_id,
+                img_id,
+            ))
             next_id += 1
     categories = [
         {"id": i, "name": f"class_{i}"} for i in range(1, num_categories + 1)

@@ -186,6 +186,8 @@ class TestGenerateDataset:
             ({"crowd_fraction": -0.1}, "crowd_fraction"),
             ({"num_categories": 0}, "num_categories"),
             ({"min_instances": 5, "max_instances": 4}, "min_instances"),
+            # Not three images without instances: no count can be drawn.
+            ({"min_instances": -5, "max_instances": -1}, "min_instances must be non-negative"),
         ],
     )
     def test_rejects_bad_parameter_naming_it(self, kwargs, name):
@@ -195,11 +197,6 @@ class TestGenerateDataset:
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
             generate_dataset(3, -1)
-
-    def test_negative_instance_bounds_are_named(self):
-        """Not three images without instances: no count can be drawn."""
-        with pytest.raises(ValueError, match=r"^min_instances must be non-negative, got -5$"):
-            generate_dataset(3, 1, min_instances=-5, max_instances=-1)
 
 
 class TestRunExperiment:

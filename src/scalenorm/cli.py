@@ -4,6 +4,7 @@ range search, and the synthetic detector into file-based pipelines."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -131,9 +132,18 @@ def _effective_config(args: argparse.Namespace) -> AppConfig:
     return cfg
 
 
-def _emit(path: str, cfg: AppConfig, payload: dict) -> None:
-    """Write `payload` as JSON with the effective config echoed under "config"."""
-    dataio.write_json(path, {"config": cfg.to_dict(), **payload})
+def _emit(cfg: AppConfig, *outputs: tuple) -> None:
+    """Write a command's `(path, payload)` outputs, skipping a None path: a dict
+    as JSON with the effective config echoed under "config", a `(header, rows)`
+    pair as CSV. A command writes at most two files, both or neither: if the
+    second write fails, the first path is put back as it was."""
+    outputs = [out for out in outputs if out[0] is not None]
+    with dataio.restored_on_error(outputs[0][0]) if len(outputs) > 1 else contextlib.nullcontext():
+        for path, payload in outputs:
+            if isinstance(payload, dict):
+                dataio.write_json(path, {"config": cfg.to_dict(), **payload})
+            else:
+                dataio.write_csv(path, *payload)
 
 
 def _snip_table(args: argparse.Namespace):
@@ -167,7 +177,7 @@ def _cmd_partition(args: argparse.Namespace, cfg: AppConfig) -> None:
         }
         for index, (name, part) in enumerate(parts)
     ]
-    _emit(args.out, cfg, {"policy": args.policy, "partitions": partitions})
+    _emit(cfg, (args.out, {"policy": args.policy, "partitions": partitions}))
 
 
 def _histogram_payload(hist) -> dict:
@@ -207,20 +217,16 @@ def _cmd_analyze_snip(args: argparse.Namespace, cfg: AppConfig) -> None:
                     float(ignored.mass[b]),
                 )
             )
-    _emit(args.out, cfg, {"policies": report})
-    if args.csv:
-        dataio.write_csv(
-            args.csv, ("policy", "bin_lower", "bin_upper", "trained", "ignored"), rows
-        )
+    _emit(cfg, (args.out, {"policies": report}),
+          (args.csv, (("policy", "bin_lower", "bin_upper", "trained", "ignored"), rows)))
 
 
 def _cmd_fuse(args: argparse.Namespace, cfg: AppConfig) -> None:
     records = [rec for path in args.dets for rec in dataio.load_detection_records(path)]
     gate = UNBOUNDED_RANGE if args.naive else cfg.scale_range  # as strategy_detections gates
-    rows = dataio._detection_rows(records, True, file_order=True)  # numbered as read
-    index = _FusionIndex(*rows, gate, cfg.soft_nms)
+    index = _FusionIndex(*dataio._detection_rows(records, True), gate, cfg.soft_nms)
     _, fused = index.probe(gate, cfg.fusion_top_k)
-    _emit(args.out, cfg, {"detections": dataio._table_records(fused)})
+    _emit(cfg, (args.out, {"detections": dataio._table_records(fused)}))
 
 
 def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> None:
@@ -252,9 +258,7 @@ def _cmd_eval(args: argparse.Namespace, cfg: AppConfig) -> None:
         result = evaluate(dataset.instances, dets, cfg.eval, categories)
         payload = {"metrics": result.to_dict()}
         csv_rows = result.csv_rows()
-    _emit(args.out, cfg, payload)
-    if args.csv:
-        dataio.write_csv(args.csv, ("category", "metric", "value"), csv_rows)
+    _emit(cfg, (args.out, payload), (args.csv, (("category", "metric", "value"), csv_rows)))
 
 
 def _cmd_search(args: argparse.Namespace, cfg: AppConfig) -> None:
@@ -271,11 +275,11 @@ def _cmd_search(args: argparse.Namespace, cfg: AppConfig) -> None:
         ))
     best, trace = greedy_range_search(cfg.search, oracle)
     best_ap = dict(trace)[best]
-    _emit(args.out, cfg, {
+    _emit(cfg, (args.out, {
         "best_range": best.to_pair(),
         "best_ap": best_ap,
         "trace": [{"range": rng.to_pair(), "ap": ap} for rng, ap in trace],
-    })
+    }))
     print(f"best range [{best.lower:g}, {best.upper:g}] ap {best_ap:.6g}")
 
 
@@ -287,19 +291,17 @@ def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> None:
         crowd_fraction=args.crowd_fraction,
     )
     per_resolution = simulate_detections(dataset, cfg.pyramid, cfg.detector)
-    with dataio.restored_on_error(args.out):  # both files or neither
-        _emit(args.out, cfg, dataio.dataset_to_dict(dataset))
-        records = []
-        for factor, dets in per_resolution:
-            records.extend(dataio.detections_to_records(dets, factor))
-        _emit(args.out_dets, cfg, {"detections": records})
+    records = []
+    for factor, dets in per_resolution:
+        records.extend(dataio.detections_to_records(dets, factor))
+    _emit(cfg, (args.out, dataio.dataset_to_dict(dataset)),
+          (args.out_dets, {"detections": records}))
 
 
 def _cmd_stage_hist(args: argparse.Namespace, cfg: AppConfig) -> None:
     dataset = dataio.load_annotations(args.annotations)
     counts = stage_histogram(dataset.instances, cfg.pyramid, cfg.scale_range, cfg.fpn)
     rows = [(level, counts[level]) for level in sorted(counts)]
-    dataio.write_csv(args.out, ("level", "count"), rows)
-    if args.json_out:
-        _emit(args.json_out, cfg, {"histogram": {str(level): n for level, n in rows}})
+    _emit(cfg, (args.out, (("level", "count"), rows)),
+          (args.json_out, {"histogram": {str(level): n for level, n in rows}}))
 

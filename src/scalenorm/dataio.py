@@ -227,12 +227,10 @@ def _detection(rec: dict, context: str) -> Detection:
                   _id(rec, "resolution_index", context, -1))
 
 
-def _detection_rows(records: list, tagged: bool,
-                    file_order: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The detection table of `records` and each row's scale_factor (1.0 if none).
-    Untagged rows keep file order and their resolution index. Tagged, resolution k is
-    the k-th largest factor, and factor groups run largest first, each in file order,
-    unless the rows keep `file_order`."""
+def _detection_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The detection table of `records` in file order and each row's scale_factor
+    (1.0 if none). Untagged rows keep their resolution index; tagged, resolution k
+    is the k-th largest factor."""
     rows = _column_rows(records, tagged)
     if rows is None:  # the per-record rules raise the first fault; tagged, all tags go first
         pairs = [(rec, f"detection #{i}") for i, rec in enumerate(records)]
@@ -244,13 +242,11 @@ def _detection_rows(records: list, tagged: bool,
     if tagged:
         ranked = factors[order := np.argsort(-factors, kind="stable")]
         table[order, _RESOLUTION] = np.cumsum(np.diff(ranked, prepend=ranked[:1]) != 0)
-        if not file_order:
-            table, factors = table[order], ranked
     return table, factors
 
 
 def _column_rows(records: list, tagged: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """`_detection_rows` in file order, checked a column at a time: the `KINDS`
+    """`_detection_rows` before the ranks, checked a column at a time: the `KINDS`
     tests and the id bound on lists, box and score checks on arrays; or None."""
     n = len(records)
     if not {dict}.issuperset(map(type, records)):
@@ -293,7 +289,8 @@ def tagged_detections_from_records(
     Untagged records are rejected: fusion needs to know the source resolution.
     """
     table, factors = _detection_rows(records, True)
-    return [(f, _detections(table[factors == f])) for f in dict.fromkeys(factors.tolist())]
+    return [(f, _detections(table[factors == f]))
+            for f in sorted(set(factors.tolist()), reverse=True)]
 
 
 def detections_to_records(dets: list[Detection], factor: float | None = None) -> list[dict]:

@@ -139,6 +139,8 @@ class _FusionIndex:
     def probe(self, scale_range: ScaleRange, top_k: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Soft-NMS over the rows whose scale is in `scale_range`: row ids and
         rows, final scores, of each image's top `top_k` survivors in candidate order."""
+        if top_k is not None and (type(top_k) is not int or top_k < 1):  # a bool is not one
+            raise ValueError(f"top_k must be None or an integer >= 1, got {top_k!r}")
         inside = scale_range.contains(self.scale)
         kept = [(np.empty(0, dtype=np.intp), np.empty(0))]
         for b, (rows, decay) in enumerate(self._blocks):
@@ -198,8 +200,6 @@ def fuse_multiscale(
     A box that projection under- or overflows raises ValueError naming the
     detection by its place in the flattened lists (`detection #i`).
     """
-    if top_k is not None and (not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1):
-        raise ValueError(f"top_k must be None or an integer >= 1, got {top_k!r}")
     index = _FusionIndex(*_resolution_rows(per_resolution), scale_range, cfg)
     _, fused = index.probe(scale_range, top_k)
     return _detections(fused)

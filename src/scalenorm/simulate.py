@@ -266,7 +266,7 @@ def generate_dataset(
 ) -> Dataset:
     """Random benchmark dataset: log-uniform instance scales, seeded."""
     if num_images < 1:
-        raise ValueError("num_images must be positive")
+        raise ValueError(f"num_images must be at least 1, got {num_images}")
     if num_categories < 1:
         raise ValueError(f"num_categories must be at least 1, got {num_categories}")
     if seed < 0:

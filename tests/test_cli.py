@@ -195,9 +195,20 @@ BAD_INPUTS = [
     # DIR is an existing directory in the working directory.
     pytest.param(FUSE[:-1] + ["DIR"], [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS],
                  "cannot write 'DIR': Is a directory", id="out-names-a-directory"),
-    # simulate writes --out first; a failing --out-dets must take it back.
+    # Each two-file command writes --out first; a failing second output must take it back.
     pytest.param(SIMULATE[:-1] + ["DIR"], None, "cannot write 'DIR': Is a directory",
                  id="out-dets-names-a-directory"),
+    pytest.param(["stage-hist", "--annotations", "ANN", "--out", "OUT", "--json", "DIR"], None,
+                 "cannot write 'DIR': Is a directory", id="stage-hist-json-names-a-directory"),
+    pytest.param(EVAL + ["--csv", "DIR"], PERFECT_DETECTIONS,
+                 "cannot write 'DIR': Is a directory", id="eval-csv-names-a-directory"),
+    pytest.param(["analyze-snip", "--annotations", "ANN", "--out", "OUT", "--csv", "DIR"], None,
+                 "cannot write 'DIR': Is a directory", id="analyze-snip-csv-names-a-directory"),
+    pytest.param(SIMULATE + ["--images", "0"], None, "num_images must be at least 1, got 0",
+                 id="no-images-simulate"),
+    pytest.param(["search", "--simulate", "--images", "-2", "--out", "OUT"], None,
+                 "num_images must be at least 1, got -2", id="negative-images-search-simulate"),
+    pytest.param(ANALYZE_SNIP, [], "range table needs at least one entry", id="empty-snip-table"),
     pytest.param(SIMULATE + ["--seed", "-1"], None, "--seed: expected an integer >= 0, got -1",
                  id="negative-seed-flag-simulate"),
     pytest.param(["search", "--simulate", "--images", "2", "--seed", "-1", "--out", "OUT"], None,
@@ -232,6 +243,20 @@ ECHOING_COMMANDS = [
                  id="simulate"),
     pytest.param(["stage-hist", "--annotations", "ANN", "--out", "CSV", "--json", "OUT"],
                  id="stage-hist"),
+]
+
+
+# Every command that writes two files: its first output OUT, its second SECOND;
+# ANN and DETS are a simulated dataset and its detections.
+TWO_FILE_COMMANDS = [
+    pytest.param(["simulate", "--images", "3", "--out", "OUT", "--out-dets", "SECOND"],
+                 id="simulate"),
+    pytest.param(["stage-hist", "--annotations", "ANN", "--out", "OUT", "--json", "SECOND"],
+                 id="stage-hist"),
+    pytest.param(["eval", "--annotations", "ANN", "--dets", "DETS", "--out", "OUT",
+                  "--csv", "SECOND"], id="eval"),
+    pytest.param(["analyze-snip", "--annotations", "ANN", "--out", "OUT", "--csv", "SECOND"],
+                 id="analyze-snip"),
 ]
 
 
@@ -378,16 +403,29 @@ class TestSimulateFuseEvalPipeline:
         tagged = tagged_detections_from_records(load_detection_records(dets))
         assert ds.instances and len(tagged) == 5
 
-    def test_failed_out_dets_restores_the_old_out(self, tmp_path, capsys):
-        """Both files or neither: an --out that existed keeps its old bytes."""
-        ann, dets, target = tmp_path / "ann.json", tmp_path / "dets.json", tmp_path / "DIR"
-        assert run_cli("simulate", "--images", 3, "--seed", 2, "--out", ann, "--out-dets", dets) == 0
-        old = ann.read_bytes()
+    @pytest.mark.parametrize("argv", TWO_FILE_COMMANDS)
+    def test_failed_out_dets_restores_the_old_out(self, tmp_path, capsys, argv):
+        """Both files or neither: when the second output cannot be written, an
+        --out that existed keeps its old bytes and no other file is left."""
+        out, target = tmp_path / "out", tmp_path / "DIR"
+        inputs = {seed: {"ANN": tmp_path / f"ann{seed}.json", "DETS": tmp_path / f"dets{seed}.json"}
+                  for seed in (2, 5)}  # each run reads its own seed's inputs: --out differs
+        for seed, paths in inputs.items():
+            assert run_cli("simulate", "--images", 3, "--seed", seed,
+                           "--out", paths["ANN"], "--out-dets", paths["DETS"]) == 0
+
+        def run(seed, second):
+            paths = {**inputs[seed], "OUT": out, "SECOND": second}
+            return run_cli(*(paths.get(a, a) for a in argv), "--seed", seed)
+
+        assert run(2, tmp_path / "second") == 0
+        old = out.read_bytes()
         target.mkdir()
-        assert run_cli("simulate", "--images", 2, "--seed", 5, "--out", ann, "--out-dets", target) == 1
+        before = sorted(tmp_path.iterdir())
+        assert run(5, target) == 1
         assert capsys.readouterr().err == f"error: cannot write {str(target)!r}: Is a directory\n"
-        assert ann.read_bytes() == old
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "ann.json", "dets.json"]
+        assert out.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_rewriting_outputs_leaves_no_other_file(self, tmp_path):
         ann, dets = tmp_path / "ann.json", tmp_path / "dets.json"
@@ -614,6 +652,18 @@ class TestErrorSurface:
         assert run_cli(*(paths.get(a, a) for a in argv)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_broken_stdout_exits_1_without_an_error_line(self, tmp_path, capsys, monkeypatch):
+        table = tmp_path / "table.json"
+        write_json(table, [{"range": list(k), "ap": v} for k, v in RANGE_AP_TABLE.items()])
+
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert run_cli("search", "--table", table, "--out", tmp_path / "search.json") == 1
+        assert "error:" not in capsys.readouterr().err
 
     def test_undecodable_file_names_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -92,6 +92,16 @@ class TestDefaults:
             ({"fusion_top_k": -1}, "config key 'fusion_top_k': expected null or an integer >= 1"),
             ({"seed": -1}, "config key 'seed': expected an integer >= 0, got -1"),
             ([1, 2], "config: expected an object, got [1, 2]"),
+            ({"eval": {"recall_points": 1}}, "config key 'eval': need at least 2 recall points"),
+            ({"eval": {"max_dets": 0}}, "config key 'eval': max_dets must be positive"),
+            ({"eval": {"iou_thresholds": [0.0]}},
+             "config key 'eval': iou thresholds must lie in (0, 1]: (0.0,)"),
+            ({"detector": {"fp_rate": -1}},
+             "config key 'detector': noise and rate parameters must be non-negative"),
+            ({"detector": {"tp_score_std": -1}},
+             "config key 'detector': score model stds must be non-negative"),
+            ({"detector": {"seed": -1}}, "config key 'detector': seed must be non-negative"),
+            ({"fpn": {"canonical_scale": 0}}, "config key 'fpn': canonical_scale must be positive"),
         ],
     )
     def test_strict_decoding_names_key(self, data, message):

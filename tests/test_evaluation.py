@@ -63,6 +63,10 @@ class TestEvaluateBasics:
         assert unrestricted.ap == 0.0
         assert restricted.ap == -1.0
 
+    def test_report_requires_a_range(self):
+        with pytest.raises(ValueError, match="^scale_range is required$"):
+            ap_by_scale_report([make_instance(100.0)], [])
+
     def test_unknown_category_raises(self):
         gt = make_instance(100.0)
         det = detection_for(gt, 0.9, category_id=7)

@@ -485,7 +485,7 @@ def detection_dumps(draw):
 def rows_by_record(records, tagged):
     """The table and factors the per-record rules give, record by record as
     the loaders always checked them: a tagged dump's tags first, then each
-    record in turn; tagged, the factor groups largest first, each in file order."""
+    record in turn; the rows stay in file order, tagged ones ranked by factor."""
     contexts = [f"detection #{i}" for i in range(len(records))]
     if tagged:
         for rec, context in zip(records, contexts):
@@ -497,8 +497,6 @@ def rows_by_record(records, tagged):
     table = _detection_table(dets)
     if tagged:
         groups = sorted(set(factors), reverse=True)
-        order = sorted(range(len(records)), key=lambda i: groups.index(factors[i]))
-        table, factors = table[order], [factors[i] for i in order]
         table[:, 6] = [groups.index(f) for f in factors]
     return table, np.array(factors, dtype=float)
 

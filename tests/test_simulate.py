@@ -302,6 +302,15 @@ class TestIsnRangeEvaluator:
         with pytest.raises(EvaluationError, match=message):
             isn_range_evaluator(dataset, [(1.0, dets)], WINDOW, SoftNmsConfig(), 100, EvalConfig())
 
+    @pytest.mark.parametrize("top_k", [0, -1, 2.5, True])
+    def test_bad_top_k_raises_on_probe(self, top_k):
+        dataset = generate_dataset(2, 5)
+        per_resolution = simulate_detections(dataset, PYRAMID, DetectorProfile(seed=5))
+        probe = isn_range_evaluator(dataset, per_resolution, ScaleRange(0.0, 640.0),
+                                    SoftNmsConfig(), top_k, EvalConfig())
+        with pytest.raises(ValueError, match=r"^top_k must be None or an integer >= 1, got "):
+            probe(WINDOW)
+
 
 class TestProfileValidation:
     def test_band_ordering(self):

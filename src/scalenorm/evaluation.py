@@ -29,6 +29,10 @@ and recall are those of the ranking without them.
 AP and final recall land in two (category, bucket, threshold) arrays that
 start at -1, the mark of a lane without positives; each headline metric is
 the mean of the other values in one slice of them, or -1 if there are none.
+The buckets scored are those of the ground-truth side: all four for
+`evaluate`, the `all` bucket alone for a range-search probe, which reads
+only AP, so it matches and accumulates one lane per threshold. Each lane is
+computed on its own, so a probe's AP is `evaluate`'s, bit for bit.
 
 Both sides map categories through the ground truth's `category_index`, which
 raises EvaluationError for the first instance or row outside the vocabulary.
@@ -118,11 +122,16 @@ class EvalResult:
 class _GroundTruth:
     """Per instance in input order: image, category (index into `vocab`),
     corners, crowd flag, (bucket, instance) ignore matrix; per category and
-    bucket, the positives. An instance outside `vocab` raises EvaluationError."""
+    bucket, the positives. The buckets are the first `buckets` of
+    BUCKET_NAMES, and scoring fills those alone. An instance outside `vocab`
+    raises EvaluationError."""
 
     __slots__ = ("vocab", "images", "cats", "corners", "crowd", "ignore", "positives", "flags")
 
-    def __init__(self, gts: list[Instance], vocab: list[int], cfg: EvalConfig):
+    def __init__(
+        self, gts: list[Instance], vocab: list[int], cfg: EvalConfig,
+        buckets: int = len(BUCKET_NAMES),
+    ):
         a = np.array([(g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h, g.image_id, g.category_id,
                        g.iscrowd) for g in gts], dtype=float).reshape(-1, 7)
         _exact_ids(a[:, 4:6], gts, ("image_id", "category_id"), "ground-truth instance {0.id}")
@@ -131,10 +140,10 @@ class _GroundTruth:
             f"ground-truth instance {gts[i].id} has unknown category {gts[i].category_id}"))
         self.crowd = a[:, 6] != 0
         area, restrict = a[:, 2] * a[:, 3], cfg.scale_restriction or UNBOUNDED_RANGE
-        b = np.arange(len(BUCKET_NAMES))[:, None]  # ignored, or outside a bucket but "all"
+        b = np.arange(buckets)[:, None]  # ignored, or outside a bucket but "all"
         self.ignore = (self.crowd | ~restrict.contains(np.sqrt(area))
                        | ((b != cfg._bucket(area)) & (b != 0)))
-        self.positives = np.zeros((len(vocab), len(BUCKET_NAMES)), dtype=int)
+        self.positives = np.zeros((len(vocab), buckets), dtype=int)
         np.add.at(self.positives, self.cats, ~self.ignore.T)
         self.flags = self.crowd.tolist(), self.ignore.tolist()  # for `_match_unit`
 
@@ -277,14 +286,16 @@ def _mean_defined(values: np.ndarray) -> float:
 def _score(
     truth: _GroundTruth, dets: _DetectionRows, rows: np.ndarray, scores: np.ndarray,
     cfg: EvalConfig, memo: dict | None = None,
-) -> EvalResult:
-    """The evaluation core: match the ranked rows `rows`, scored `scores`, fill
-    the (category, bucket, threshold) AP and recall arrays, and average. A
-    `memo` dict holds each category's AP and recall rows by (category index,
-    the bytes of its row ids, the bytes of its scores); a category found in it
-    takes its rows from it, its detections dropped first."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation core: match the ranked rows `rows`, scored `scores`, and
+    return the (category, bucket, threshold) AP and recall arrays, one bucket
+    per bucket of `truth`. A `memo` dict holds each category's AP and recall
+    rows by (category index, the bytes of its row ids, the bytes of its
+    scores); a category found in it takes its rows from it, its detections
+    dropped first."""
     thresholds, positives = cfg.iou_thresholds, truth.positives
-    aps, recs = np.full((2, len(truth.vocab), len(BUCKET_NAMES), len(thresholds)), -1.0)
+    buckets = positives.shape[1]
+    aps, recs = np.full((2, len(truth.vocab), buckets, len(thresholds)), -1.0)
     live = positives[:, 0] > 0  # a category without positives keeps -1 in every lane
     cats, keys = dets.cats[rows], {}
     for c in np.flatnonzero(live).tolist() if memo is not None else ():
@@ -306,8 +317,8 @@ def _score(
     rows, scores, cats, unit, start = rows[keep], scores[keep], cats[keep], unit[keep], start[keep]
 
     # One lane per (bucket, threshold); unmatched detections outside the bucket are ignored.
-    is_tp, is_ig = np.zeros((2, len(BUCKET_NAMES), len(thresholds), rows.size), dtype=bool)
-    is_ig[1:] = (dets.buckets[rows] != np.arange(1, len(BUCKET_NAMES))[:, None])[:, None]
+    is_tp, is_ig = np.zeros((2, buckets, len(thresholds), rows.size), dtype=bool)
+    is_ig[1:] = (dets.buckets[rows] != np.arange(1, buckets)[:, None])[:, None]
     count = dets.count[rows]
     walk = np.zeros(rows.size, dtype=bool)
     walk[unit[count > 1]] = True  # units that hold a row with two or more candidates
@@ -335,7 +346,12 @@ def _score(
             order, is_tp[has, :, span], is_ig[has, :, span], positives[c, has], grid)
         if c in keys:
             memo[keys[c]] = aps[c], recs[c]
+    return aps, recs
 
+
+def _result(aps: np.ndarray, recs: np.ndarray, vocab: list[int], cfg: EvalConfig) -> EvalResult:
+    """The headline metrics of `_score`'s arrays over every bucket."""
+    thresholds = cfg.iou_thresholds
     # The lane of the threshold equal to 0.5 (0.75), or no lane: its mean is -1.
     lane = {v: [t for t, x in enumerate(thresholds) if math.isclose(x, v, abs_tol=1e-9)][:1]
             for v in (0.5, 0.75)}
@@ -347,7 +363,7 @@ def _score(
         ap_m=_mean_defined(aps[:, 2]),
         ap_l=_mean_defined(aps[:, 3]),
         ar=_mean_defined(recs[:, 0]),
-        per_category={cat: _mean_defined(aps[c, 0]) for c, cat in enumerate(truth.vocab)},
+        per_category={cat: _mean_defined(aps[c, 0]) for c, cat in enumerate(vocab)},
     )
 
 
@@ -365,7 +381,7 @@ def _evaluate(
     table = _detection_table(dets)
     rows = _DetectionRows(table, truths[0], passes[0])
     ranked = np.argsort(-table[:, _SCORE], kind="stable")
-    return [_score(truth, rows, ranked, table[ranked, _SCORE], cfg)
+    return [_result(*_score(truth, rows, ranked, table[ranked, _SCORE], cfg), vocab, cfg)
             for cfg, truth in zip(passes, truths)]
 
 

@@ -44,26 +44,28 @@ class SearchSpace:
 
 
 class ApOracle:
-    """Range -> metrics oracle around a callback or lookup table, counting
-    its calls; the search itself probes each range at most once."""
+    """Range -> AP oracle around a callback or lookup table, counting its
+    calls; the search itself probes each range at most once. The callback
+    maps a range to its AP, a float, which is all the search reads."""
 
-    def __init__(self, fn: Callable[[ScaleRange], EvalResult]):
+    def __init__(self, fn: Callable[[ScaleRange], float]):
         self._fn = fn
         self.calls = 0
 
     @classmethod
     def from_table(cls, table: dict[tuple[float, float], EvalResult]) -> "ApOracle":
-        entries = dict(table)
+        """Answer each range with the `ap` of its entry in `table`, a lookup
+        of metrics by (lower, upper); a range it lacks raises LookupError."""
+        aps = {key: result.ap for key, result in table.items()}
 
-        def lookup(rng: ScaleRange) -> EvalResult:
-            key = (rng.lower, rng.upper)
-            if key not in entries:
-                raise KeyError(f"no metrics for range [{key[0]}, {key[1]}]")
-            return entries[key]
+        def lookup(rng: ScaleRange) -> float:
+            if (ap := aps.get((rng.lower, rng.upper))) is None:
+                raise LookupError("the lookup table has no entry for this range")
+            return ap
 
         return cls(lookup)
 
-    def query(self, rng: ScaleRange) -> EvalResult:
+    def query(self, rng: ScaleRange) -> float:
         self.calls += 1
         return self._fn(rng)
 
@@ -82,7 +84,7 @@ def greedy_range_search(
         rng = ScaleRange(lower, upper)
         if rng not in probed:
             try:
-                probed[rng] = oracle.query(rng).ap
+                probed[rng] = oracle.query(rng)
             except Exception as exc:
                 raise SearchAborted(
                     f"oracle failed on range [{lower}, {upper}]: {exc}", list(probed.items())

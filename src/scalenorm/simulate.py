@@ -30,7 +30,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .dataio import Dataset, ImageInfo
-from .evaluation import EvalConfig, EvalResult, _DetectionRows, _GroundTruth, _score, evaluate
+from .evaluation import (
+    EvalConfig, EvalResult, _DetectionRows, _GroundTruth, _mean_defined, _score, evaluate,
+)
 # benchmark/spans.py traces gate_predictions and soft_nms under this module's names.
 from .fusion import SoftNmsConfig, fuse_multiscale, gate_predictions, soft_nms
 from .fusion import _FusionIndex, _resolution_rows
@@ -332,24 +334,27 @@ def isn_range_evaluator(
     nms_cfg: SoftNmsConfig,
     top_k: int | None,
     eval_cfg: EvalConfig,
-) -> Callable[[ScaleRange], EvalResult]:
-    """The `evaluate` result of ISN fusion at any range inside `hull`. The
-    ground truth, the fusion index of the dataset's detections and its rows'
-    IoU with the ground truth are prepared once; a probe hands its fused rows
-    straight to evaluation. As in `evaluate`, a ground-truth instance or a
-    detection inside `hull` whose category is not the dataset's raises
-    EvaluationError; the message numbers such a detection among those
-    detections, in input order."""
+) -> Callable[[ScaleRange], float]:
+    """The AP that `evaluate` gives ISN fusion at any range inside `hull`,
+    bit for bit. The ground truth, the fusion index of the dataset's
+    detections and its rows' IoU with the ground truth are prepared once; a
+    probe hands its fused rows straight to evaluation. The ground-truth side
+    holds the `all` bucket alone, the only one AP reads, so a probe matches
+    and accumulates one lane per IoU threshold. As in `evaluate`, a
+    ground-truth instance or a detection inside `hull` whose category is not
+    the dataset's raises EvaluationError; the message numbers such a
+    detection among those detections, in input order."""
     given = {img.id for img in dataset.images}
     per_resolution = [(f, [d for d in dets if d.image_id in given]) for f, dets in per_resolution]
     index = _FusionIndex(*_resolution_rows(per_resolution), hull, nms_cfg)
-    truth = _GroundTruth(dataset.instances, dataset.category_ids(), eval_cfg)
+    truth = _GroundTruth(dataset.instances, dataset.category_ids(), eval_cfg, buckets=1)
     rows = _DetectionRows(index.table, truth, eval_cfg)
     memo: dict = {}  # AP and recall rows of a category, by its fused row ids and scores
 
-    def probe(rng: ScaleRange) -> EvalResult:
+    def probe(rng: ScaleRange) -> float:
         ids, fused = index.probe(rng, top_k)
-        return _score(truth, rows, ids, fused[:, _SCORE], eval_cfg, memo)
+        aps, _ = _score(truth, rows, ids, fused[:, _SCORE], eval_cfg, memo)
+        return _mean_defined(aps[:, 0])
 
     return probe
 

@@ -208,6 +208,10 @@ BAD_INPUTS = [
                  id="no-images-simulate"),
     pytest.param(["search", "--simulate", "--images", "-2", "--out", "OUT"], None,
                  "num_images must be at least 1, got -2", id="negative-images-search-simulate"),
+    # The descent's second probe, [16, 640], is not in the table.
+    pytest.param(SEARCH, [{"range": [0, 640], "ap": 37.4}],
+                 "oracle failed on range [16.0, 640.0]: "
+                 "the lookup table has no entry for this range", id="search-table-lacks-a-range"),
     pytest.param(ANALYZE_SNIP, [], "range table needs at least one entry", id="empty-snip-table"),
     pytest.param(SIMULATE + ["--seed", "-1"], None, "--seed: expected an integer >= 0, got -1",
                  id="negative-seed-flag-simulate"),

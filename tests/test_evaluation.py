@@ -16,7 +16,7 @@ from scalenorm import (
     ap_by_scale_report,
     evaluate,
 )
-from scalenorm.evaluation import BUCKET_NAMES, _DetectionRows, _GroundTruth, _score
+from scalenorm.evaluation import BUCKET_NAMES, _DetectionRows, _GroundTruth, _result, _score
 from scalenorm.geometry import _detection_table, iou_matrix
 
 from conftest import corner_rows, make_instance
@@ -370,7 +370,8 @@ class TestScoreMemo:
         # The hit first, then the miss first on the same rows, then two hits on those scores.
         for ids, scores in (([0, 1], [0.9, 0.8]), ([0, 1], [0.8, 0.9]), ([0, 2], [0.8, 0.9])):
             want = evaluate(gts, [replace(dets[i], score=v) for i, v in zip(ids, scores)], cfg, [1])
-            assert _score(truth, rows, np.array(ids), np.array(scores), cfg, memo) == want
+            aps, recs = _score(truth, rows, np.array(ids), np.array(scores), cfg, memo)
+            assert _result(aps, recs, [1], cfg) == want
         assert len(memo) == 3
 
 

@@ -40,7 +40,7 @@ from scalenorm import (
 )
 from scalenorm import dataio
 from scalenorm.dataio import DataFormatError, write_json
-from scalenorm.evaluation import BUCKET_NAMES, EvalResult, _match_single, _match_unit
+from scalenorm.evaluation import BUCKET_NAMES, _match_single, _match_unit
 from scalenorm.fusion import (
     _SMALL_BLOCK, _FusionIndex, _decay_factors, _detections, _greedy_arrays, _greedy_lists,
     _resolution_rows,
@@ -230,7 +230,7 @@ class TestSearchProperties:
 
         def fn(rng):
             probes.append((rng.lower, rng.upper))
-            return EvalResult(aps[probes[-1]], -1, -1, -1, -1, -1, -1)
+            return aps[probes[-1]]
 
         best, trace = greedy_range_search(space, ApOracle(fn))
         assert len(probes) == len(set(probes))
@@ -255,12 +255,17 @@ class TestSearchProperties:
         st.sampled_from((1, 3, 100)),
         st.sampled_from((None, ScaleRange(16.0, 560.0), ScaleRange(8.0, 64.0))),
         st.lists(grid_ranges, min_size=1, max_size=3),
+        # Area bucket edges: the default, and two that move instances across buckets.
+        st.sampled_from(((32.0**2, 96.0**2), (8.0**2, 24.0**2), (100.0**2, 400.0**2))),
     )
     def test_search_probe_equals_evaluating_fused_records(
-        self, seed, images, crowd, nms, top_k, max_dets, restriction, windows
+        self, seed, images, crowd, nms, top_k, max_dets, restriction, windows, edges
     ):
+        """A probe scores the `all` bucket alone; its AP is `evaluate`'s, bit
+        for bit, whatever the other buckets hold."""
         dataset = generate_dataset(images, seed, crowd_fraction=crowd)
-        cfg = EvalConfig(max_dets=max_dets, scale_restriction=restriction)
+        cfg = EvalConfig(max_dets=max_dets, scale_restriction=restriction,
+                         small_area=edges[0], large_area=edges[1])
         profile = DetectorProfile(seed=seed)
         per_resolution = simulate_detections(dataset, PyramidSpec((3.0, 1.0, 0.5)), profile)
         image_ids = sorted(img.id for img in dataset.images)
@@ -269,7 +274,7 @@ class TestSearchProperties:
         for window in windows + windows[::-1]:  # repeats are served from the memos
             fused = strategy_detections(per_resolution, image_ids, window, "isn", nms, top_k)
             want = evaluate(dataset.instances, fused, cfg, dataset.category_ids())
-            assert probe(window) == want
+            assert probe(window) == want.ap
 
 
 @st.composite

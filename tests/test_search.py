@@ -73,7 +73,7 @@ class TestDescentBehavior:
 
         def fn(rng):
             calls.append((rng.lower, rng.upper))
-            return result_with_ap(RANGE_AP_TABLE[(rng.lower, rng.upper)])
+            return RANGE_AP_TABLE[(rng.lower, rng.upper)]
 
         oracle = ApOracle(fn)
         greedy_range_search(SearchSpace(), oracle)

@@ -262,6 +262,34 @@ class TestIsnRangeEvaluator:
         assert probe(WINDOW) == first
         assert calls == before
 
+    def test_a_probe_scores_the_all_bucket_alone(self, monkeypatch):
+        # Ground truth in every size bucket, so `evaluate` would fill all four.
+        dataset = generate_dataset(6, 5)
+        cfg = EvalConfig()
+        areas = np.array([g.bbox.w * g.bbox.h for g in dataset.instances])
+        assert set(cfg._bucket(areas).tolist()) == {1, 2, 3}
+        per_resolution = simulate_detections(dataset, PYRAMID, DetectorProfile(seed=5))
+        probe = isn_range_evaluator(
+            dataset, per_resolution, ScaleRange(0.0, 640.0), SoftNmsConfig(), 100, cfg)
+        buckets = {"_pr_summary": [], "_match_single": []}
+
+        def pr_summary(order, is_tp, is_ig, n_positive, grid):
+            buckets["_pr_summary"].append((is_tp.shape[0], is_ig.shape[0], len(n_positive)))
+            return summarize(order, is_tp, is_ig, n_positive, grid)
+
+        def match_single(inst, lanes, crowd, ignore, is_ig):
+            buckets["_match_single"].append((ignore.shape[0], is_ig.shape[0]))
+            return match(inst, lanes, crowd, ignore, is_ig)
+
+        summarize, match = evaluation._pr_summary, evaluation._match_single
+        monkeypatch.setattr(evaluation, "_pr_summary", pr_summary)
+        monkeypatch.setattr(evaluation, "_match_single", match_single)
+        for window in (WINDOW, ScaleRange(0.0, 640.0), ScaleRange(32.0, 320.0)):
+            probe(window)
+        assert buckets["_pr_summary"] and buckets["_match_single"]
+        assert set(buckets["_pr_summary"]) == {(1, 1, 1)}
+        assert set(buckets["_match_single"]) == {(1, 1)}
+
     def test_ranges_with_equal_scores_on_other_rows_are_scored_apart(self):
         # The narrow range holds only a hit on the one instance, the wide one
         # only a miss of the same score: the memo must not take one for the other.
@@ -272,8 +300,7 @@ class TestIsnRangeEvaluator:
             dataset, [(1.0, dets)], ScaleRange(16.0, 640.0), SoftNmsConfig(), 100, EvalConfig())
         for window, ap in ((ScaleRange(16.0, 100.0), 1.0), (ScaleRange(150.0, 640.0), 0.0)):
             fused = fuse_multiscale([(1.0, dets)], window)
-            assert probe(window) == evaluate(dataset.instances, fused, categories=[1])
-            assert probe(window).ap == ap
+            assert probe(window) == evaluate(dataset.instances, fused, categories=[1]).ap == ap
 
     def test_a_detection_outside_the_vocabulary_raises_as_evaluate_does(self):
         # One image, one category-1 box, detections of categories 2 and 1 on it.

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 from . import dataio
@@ -135,9 +136,12 @@ def _effective_config(args: argparse.Namespace) -> AppConfig:
 def _emit(cfg: AppConfig, *outputs: tuple) -> None:
     """Write a command's `(path, payload)` outputs, skipping a None path: a dict
     as JSON with the effective config echoed under "config", a `(header, rows)`
-    pair as CSV. A command writes at most two files, both or neither: if the
-    second write fails, the first path is put back as it was."""
+    pair as CSV. A command writes at most two files, both or neither: two
+    paths that name one file are an error before anything is written, and if
+    the second write fails, the first path is put back as it was."""
     outputs = [out for out in outputs if out[0] is not None]
+    if len(outputs) > 1 and os.path.realpath(outputs[0][0]) == os.path.realpath(outputs[1][0]):
+        raise ValueError(f"outputs {outputs[0][0]!r} and {outputs[1][0]!r} name one file")
     with dataio.restored_on_error(outputs[0][0]) if len(outputs) > 1 else contextlib.nullcontext():
         for path, payload in outputs:
             if isinstance(payload, dict):

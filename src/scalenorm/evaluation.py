@@ -21,10 +21,11 @@ matches on [lo, k), lo being 0 for a crowd candidate and else the largest k
 of the earlier detections on it. Other units are walked greedily, lane by
 lane. Given a memo, as each range-search probe is, scoring keys each category's
 AP and recall by its row ids and scores and drops a remembered category's
-rows first. All lanes of a category share one stable score ranking, in which
-absorbed detections (and unmatched ones outside the bucket) stay masked: they
-add to neither the TP nor the FP count and their precision is 0, so the AP
-and recall are those of the ranking without them.
+rows first. One stable sort per scoring call ranks every category's rows by
+score, ties in (image, rank) order, and all lanes of a category share that
+ranking, in which absorbed detections (and unmatched ones outside the
+bucket) stay masked: they add to neither the TP nor the FP count and their
+precision is 0, so the AP and recall are those of the ranking without them.
 
 AP and final recall land in two (category, bucket, threshold) arrays that
 start at -1, the mark of a lane without positives; each headline metric is
@@ -43,6 +44,7 @@ ignored while detections outside it are discarded before matching.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -240,11 +242,14 @@ def _match_single(
     `ignore` (bucket, instance) flags on matched lanes, `is_ig` elsewhere."""
     order = np.argsort(inst, kind="stable")
     g, k = inst[order], lanes[order]
-    new = np.diff(g, prepend=-1) != 0
+    new = np.ones(g.size, dtype=bool)
+    new[1:] = g[1:] != g[:-1]
     offset = np.cumsum(new) * (is_ig.shape[1] + 1)  # so each instance's run climbs past the last
     taken = np.maximum.accumulate(k + offset) - offset
+    before = np.zeros_like(k)  # the lanes taken on g[i] by the detections ahead of i
+    before[1:] = taken[:-1]
     lo = np.empty_like(k)
-    lo[order] = np.where(new | crowd[g], 0, np.roll(taken, 1))
+    lo[order] = np.where(new | crowd[g], 0, before)
     t = np.arange(is_ig.shape[1])[:, None]
     matched = (lo <= t) & (t < lanes)
     ig = ignore[:, None, inst]
@@ -252,18 +257,18 @@ def _match_single(
 
 
 def _pr_summary(
-    order: np.ndarray, is_tp: np.ndarray, is_ig: np.ndarray, n_positive: list[int], grid: np.ndarray
+    is_tp: np.ndarray, is_ig: np.ndarray, n_positive: list[int], grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolated AP and final recall, (B, T) each, of the (B, T, D) flags,
-    detections ranked by `order`; bucket b has n_positive[b] > 0 positives.
+    """Interpolated AP and final recall, (B, T) each, of the (B, T, D) flags
+    of D detections ranked by score; bucket b has n_positive[b] > 0 positives.
     Ignored detections stay in the ranking: they add to neither count and
     their precision is 0, so they never set a sample."""
-    lanes = is_tp.shape[0] * is_tp.shape[1]
-    tp, kept = is_tp[..., order].reshape(lanes, -1), ~is_ig[..., order].reshape(lanes, -1)
+    lanes, size = is_tp.shape[0] * is_tp.shape[1], is_tp.shape[2]
+    tp, kept = is_tp.reshape(lanes, size), ~is_ig.reshape(lanes, size)
     positives = np.repeat(n_positive, is_tp.shape[1])
     tp_cum = np.cumsum(tp, axis=1, dtype=np.float64)
     recall = tp_cum / positives[:, None]
-    precision = np.zeros((lanes, order.size + 1))
+    precision = np.zeros((lanes, size + 1))
     np.divide(tp_cum, np.cumsum(kept, axis=1, dtype=np.float64), out=precision[:, :-1], where=kept)
     # Precision envelope from the right; a sample past the last recall reads the 0 pad.
     envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1].ravel()
@@ -272,8 +277,8 @@ def _pr_summary(
     rows = np.arange(lanes)[:, None]
     reached = np.searchsorted(grid, recall, side="right") + rows * (grid.size + 1)
     below = np.bincount(reached.ravel(), minlength=lanes * (grid.size + 1)).reshape(lanes, -1)
-    sampled = envelope[below.cumsum(axis=1)[:, :-1] + rows * (order.size + 1)]
-    final = np.count_nonzero(tp, axis=1) / positives
+    sampled = envelope[below.cumsum(axis=1)[:, :-1] + rows * (size + 1)]
+    final = tp_cum[:, -1] / positives if size else np.zeros(lanes)
     return sampled.mean(axis=1).reshape(is_tp.shape[:2]), final.reshape(is_tp.shape[:2])
 
 
@@ -292,33 +297,41 @@ def _score(
     per bucket of `truth`. A `memo` dict holds each category's AP and recall
     rows by (category index, the bytes of its row ids, the bytes of its
     scores); a category found in it takes its rows from it, its detections
-    dropped first."""
+    dropped first. A pass that cannot bind is skipped: the restriction when
+    none is set, the max_dets cut when fewer rows remain, and the
+    out-of-bucket mask when `truth` holds the `all` bucket alone."""
     thresholds, positives = cfg.iou_thresholds, truth.positives
     buckets = positives.shape[1]
     aps, recs = np.full((2, len(truth.vocab), buckets, len(thresholds)), -1.0)
     live = positives[:, 0] > 0  # a category without positives keeps -1 in every lane
     cats, keys = dets.cats[rows], {}
     for c in np.flatnonzero(live).tolist() if memo is not None else ():
-        keys[c] = key = (c, rows[cats == c].tobytes(), scores[cats == c].tobytes())
+        mine = cats == c
+        keys[c] = key = (c, rows[mine].tobytes(), scores[mine].tobytes())
         if key in memo:
             aps[c], recs[c] = memo[key]
             live[c] = False
-    restrict = cfg.scale_restriction or UNBOUNDED_RANGE
-    keep = live[cats] & restrict.contains(dets.scale[rows])
+    keep = live[cats]
+    if cfg.scale_restriction is not None:
+        keep &= cfg.scale_restriction.contains(dets.scale[rows])
     rows, scores = rows[keep], scores[keep]
     # (category, image, rank) order; a unit, a run of one (category, image),
     # keeps its first max_dets rows, so units stay numbered 0, 1, ... in order.
     order = np.lexsort((dets.images[rows], dets.cats[rows]))
     rows, scores = rows[order], scores[order]
-    cats = dets.cats[rows]
-    start = (np.diff(cats, prepend=-1) != 0) | (np.diff(dets.images[rows], prepend=np.nan) != 0)
+    cats, images = dets.cats[rows], dets.images[rows]
+    start = np.ones(rows.size, dtype=bool)
+    start[1:] = (cats[1:] != cats[:-1]) | (images[1:] != images[:-1])
     unit = np.cumsum(start) - 1
-    keep = np.arange(rows.size) - np.flatnonzero(start)[unit] < cfg.max_dets
-    rows, scores, cats, unit, start = rows[keep], scores[keep], cats[keep], unit[keep], start[keep]
+    if rows.size > cfg.max_dets:
+        keep = np.arange(rows.size) - np.flatnonzero(start)[unit] < cfg.max_dets
+        rows, scores, cats, unit, start = (
+            rows[keep], scores[keep], cats[keep], unit[keep], start[keep])
 
     # One lane per (bucket, threshold); unmatched detections outside the bucket are ignored.
     is_tp, is_ig = np.zeros((2, buckets, len(thresholds), rows.size), dtype=bool)
-    is_ig[1:] = (dets.buckets[rows] != np.arange(1, buckets)[:, None])[:, None]
+    if buckets > 1:
+        is_ig[1:] = (dets.buckets[rows] != np.arange(1, buckets)[:, None])[:, None]
     count = dets.count[rows]
     walk = np.zeros(rows.size, dtype=bool)
     walk[unit[count > 1]] = True  # units that hold a row with two or more candidates
@@ -337,16 +350,26 @@ def _score(
             span = (b, slice(None), slice(a, z))
             _match_unit(candidates, crowd, ignore[b], thresholds, is_tp[span], is_ig[span])
 
-    grid = np.linspace(0.0, 1.0, cfg.recall_points)
+    # One stable ranking of every category's rows by score, ties in (image, rank) order.
+    rank = np.lexsort((-scores, cats))
+    is_tp, is_ig = is_tp[..., rank], is_ig[..., rank]
+    grid = _recall_grid(cfg.recall_points)
     edges = np.searchsorted(cats, np.arange(len(truth.vocab) + 1)).tolist()  # category slices
     for c in np.flatnonzero(live).tolist():
         has, span = np.flatnonzero(positives[c]), slice(edges[c], edges[c + 1])
-        order = np.argsort(-scores[span], kind="stable")
         aps[c, has], recs[c, has] = _pr_summary(
-            order, is_tp[has, :, span], is_ig[has, :, span], positives[c, has], grid)
+            is_tp[has, :, span], is_ig[has, :, span], positives[c, has], grid)
         if c in keys:
             memo[keys[c]] = aps[c], recs[c]
     return aps, recs
+
+
+@functools.cache
+def _recall_grid(points: int) -> np.ndarray:
+    """The `points` evenly spaced recall samples in [0, 1], read-only, built once."""
+    grid = np.linspace(0.0, 1.0, points)
+    grid.flags.writeable = False
+    return grid
 
 
 def _result(aps: np.ndarray, recs: np.ndarray, vocab: list[int], cfg: EvalConfig) -> EvalResult:

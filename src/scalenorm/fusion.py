@@ -155,7 +155,8 @@ class _FusionIndex:
         picked = self.table[rows]
         picked[:, _SCORE] = scores
         order = np.lexsort(_order_keys(picked))
-        if top_k is not None:  # each image's rows are contiguous; keep its first top_k
+        if top_k is not None and len(order) > top_k:  # else no image has more than top_k
+            # Each image's rows are contiguous; keep its first top_k.
             images = picked[order, _IMAGE]
             order = order[np.arange(len(order)) - np.searchsorted(images, images) < top_k]
         return rows[order], picked[order]

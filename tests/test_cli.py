@@ -204,6 +204,12 @@ BAD_INPUTS = [
                  "cannot write 'DIR': Is a directory", id="eval-csv-names-a-directory"),
     pytest.param(["analyze-snip", "--annotations", "ANN", "--out", "OUT", "--csv", "DIR"], None,
                  "cannot write 'DIR': Is a directory", id="analyze-snip-csv-names-a-directory"),
+    # Two outputs naming one file: neither is written, whatever the spelling of the path.
+    pytest.param(["simulate", "--images", "2", "--out", "a.json", "--out-dets", "./a.json"], None,
+                 "outputs 'a.json' and './a.json' name one file",
+                 id="simulate-outputs-name-one-file"),
+    pytest.param(EVAL[:-1] + ["m.json", "--csv", "m.json"], PERFECT_DETECTIONS,
+                 "outputs 'm.json' and 'm.json' name one file", id="eval-outputs-name-one-file"),
     pytest.param(SIMULATE + ["--images", "0"], None, "num_images must be at least 1, got 0",
                  id="no-images-simulate"),
     pytest.param(["search", "--simulate", "--images", "-2", "--out", "OUT"], None,
@@ -429,6 +435,24 @@ class TestSimulateFuseEvalPipeline:
         assert run(5, target) == 1
         assert capsys.readouterr().err == f"error: cannot write {str(target)!r}: Is a directory\n"
         assert out.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", TWO_FILE_COMMANDS)
+    def test_two_outputs_naming_one_file_write_nothing(self, tmp_path, capsys, argv):
+        """A second output that names --out's file through a link is refused
+        before either is written: --out keeps its old bytes."""
+        out, link = tmp_path / "out", tmp_path / "link"
+        paths = {"ANN": tmp_path / "ann.json", "DETS": tmp_path / "dets.json", "OUT": out,
+                 "SECOND": link}
+        assert run_cli("simulate", "--images", 3, "--seed", 2,
+                       "--out", paths["ANN"], "--out-dets", paths["DETS"]) == 0
+        out.write_text("old")
+        link.symlink_to(out)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli(*(paths.get(a, a) for a in argv)) == 1
+        message = f"outputs {str(out)!r} and {str(link)!r} name one file"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert out.read_text() == "old"
         assert sorted(tmp_path.iterdir()) == before
 
     def test_rewriting_outputs_leaves_no_other_file(self, tmp_path):

@@ -1,6 +1,6 @@
 """Hypothesis properties of fusion, the two Soft-NMS greedy loops, range
-search, the search's probe path, closed-form matching, the detection-dump
-reader and the JSON writer.
+search, the search's probe path, `search --simulate` against the library,
+closed-form matching, the detection-dump reader and the JSON writer.
 
 Every property runs derandomized, so a failure reproduces on every run.
 Boxes sit on a coarse grid and scores come from a short list, so exact ties
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from scalenorm import (
     ApOracle,
+    AppConfig,
     BBox,
     Detection,
     DetectorProfile,
@@ -30,6 +31,7 @@ from scalenorm import (
     SearchSpace,
     SoftNmsConfig,
     UNBOUNDED_RANGE,
+    cli,
     evaluate,
     fuse_multiscale,
     generate_dataset,
@@ -275,6 +277,57 @@ class TestSearchProperties:
             fused = strategy_detections(per_resolution, image_ids, window, "isn", nms, top_k)
             want = evaluate(dataset.instances, fused, cfg, dataset.category_ids())
             assert probe(window) == want.ap
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 4),
+        st.sampled_from(("gaussian", "linear", "hard")),
+        st.sampled_from((0.0, 0.001, 0.2)),
+        st.sampled_from((None, 1, 2, 3, 100)),  # fusion_top_k: 1 to 3 cut most images
+        st.sampled_from((1, 2, 100)),  # eval.max_dets: 1 and 2 cut most units
+        st.sampled_from((None, [16.0, 560.0], [8.0, 64.0], [32.0, None])),
+        st.sampled_from(((32.0**2, 96.0**2), (8.0**2, 24.0**2), (100.0**2, 400.0**2))),
+        st.sampled_from((101, 11, 2)),
+    )
+    def test_cli_search_equals_searching_evaluated_strategies(
+        self, seed, images, method, floor, top_k, max_dets, restriction, edges, points
+    ):
+        """`search --simulate` through the CLI gives the best range, best AP and
+        trace of `greedy_range_search` over an oracle that evaluates
+        `strategy_detections` at each range, bit for bit."""
+        overrides = {
+            "soft_nms.method": method, "soft_nms.score_floor": floor, "fusion_top_k": top_k,
+            "eval.max_dets": max_dets, "eval.scale_restriction": restriction,
+            "eval.small_area": edges[0], "eval.large_area": edges[1],
+            "eval.recall_points": points,
+        }
+        argv = ["search", "--simulate", "--images", str(images), "--seed", str(seed)]
+        for key, value in overrides.items():
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "search.json")
+            assert cli.main(argv + ["--out", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                got = json.load(fh)
+
+        dataset = generate_dataset(images, seed)
+        per_resolution = simulate_detections(
+            dataset, AppConfig().pyramid, DetectorProfile(seed=seed))
+        image_ids = sorted(img.id for img in dataset.images)
+        nms = SoftNmsConfig(method=method, score_floor=floor)
+        cfg = EvalConfig(
+            max_dets=max_dets, recall_points=points, small_area=edges[0], large_area=edges[1],
+            scale_restriction=restriction and ScaleRange.from_pair(restriction))
+
+        def ap(rng):
+            fused = strategy_detections(per_resolution, image_ids, rng, "isn", nms, top_k)
+            return evaluate(dataset.instances, fused, cfg, dataset.category_ids()).ap
+
+        best, trace = greedy_range_search(SearchSpace(), ApOracle(ap))
+        assert got["best_range"] == best.to_pair()
+        assert got["best_ap"] == dict(trace)[best]
+        assert got["trace"] == [{"range": rng.to_pair(), "ap": v} for rng, v in trace]
 
 
 @st.composite

@@ -273,9 +273,9 @@ class TestIsnRangeEvaluator:
             dataset, per_resolution, ScaleRange(0.0, 640.0), SoftNmsConfig(), 100, cfg)
         buckets = {"_pr_summary": [], "_match_single": []}
 
-        def pr_summary(order, is_tp, is_ig, n_positive, grid):
+        def pr_summary(is_tp, is_ig, n_positive, grid):
             buckets["_pr_summary"].append((is_tp.shape[0], is_ig.shape[0], len(n_positive)))
-            return summarize(order, is_tp, is_ig, n_positive, grid)
+            return summarize(is_tp, is_ig, n_positive, grid)
 
         def match_single(inst, lanes, crowd, ignore, is_ig):
             buckets["_match_single"].append((ignore.shape[0], is_ig.shape[0]))

@@ -284,8 +284,8 @@ class TestSearchProperties:
         st.integers(1, 4),
         st.sampled_from(("gaussian", "linear", "hard")),
         st.sampled_from((0.0, 0.001, 0.2)),
-        st.sampled_from((None, 1, 2, 3, 100)),  # fusion_top_k: 1 to 3 cut most images
-        st.sampled_from((1, 2, 100)),  # eval.max_dets: 1 and 2 cut most units
+        st.sampled_from((None, 1, 2, 3, 100)),  # fusion_top_k, null included; small ones bind
+        st.sampled_from((1, 2, 100)),  # eval.max_dets; small ones bind
         st.sampled_from((None, [16.0, 560.0], [8.0, 64.0], [32.0, None])),
         st.sampled_from(((32.0**2, 96.0**2), (8.0**2, 24.0**2), (100.0**2, 400.0**2))),
         st.sampled_from((101, 11, 2)),

@@ -34,6 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         args.handler(args, _effective_config(args))
     except BrokenPipeError:
         return 1
@@ -119,6 +120,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_paths(args: argparse.Namespace) -> None:
+    """Two outputs, or an output and an input, that name one file (through any
+    spelling or link) are an error before anything is read or written."""
+    given = vars(args)
+    outputs = [given[d] for d in ("out", "out_dets", "csv", "json_out") if given.get(d) is not None]
+    dets = given.get("dets") or []  # fuse reads a list of dumps, eval one
+    inputs = [given[d] for d in ("annotations", "config", "snip_table", "table") if given.get(d)]
+    inputs += [dets] if isinstance(dets, str) else dets
+    named = {}  # real path -> (position, path) of the first path naming it, outputs first
+    for i, path in enumerate(outputs + inputs):
+        j, first = named.setdefault(os.path.realpath(path), (i, path))
+        if j != i and j < len(outputs):  # two inputs may name one file
+            raise ValueError(f"outputs {first!r} and {path!r} name one file" if i < len(outputs)
+                             else f"output {first!r} and input {path!r} name one file")
+
+
 def _effective_config(args: argparse.Namespace) -> AppConfig:
     cfg = AppConfig.from_dict(dataio.load_json(args.config)) if args.config else AppConfig()
     if args.overrides:
@@ -136,12 +153,9 @@ def _effective_config(args: argparse.Namespace) -> AppConfig:
 def _emit(cfg: AppConfig, *outputs: tuple) -> None:
     """Write a command's `(path, payload)` outputs, skipping a None path: a dict
     as JSON with the effective config echoed under "config", a `(header, rows)`
-    pair as CSV. A command writes at most two files, both or neither: two
-    paths that name one file are an error before anything is written, and if
-    the second write fails, the first path is put back as it was."""
+    pair as CSV. A command writes at most two files, both or neither: if the
+    second write fails, the first path is put back as it was."""
     outputs = [out for out in outputs if out[0] is not None]
-    if len(outputs) > 1 and os.path.realpath(outputs[0][0]) == os.path.realpath(outputs[1][0]):
-        raise ValueError(f"outputs {outputs[0][0]!r} and {outputs[1][0]!r} name one file")
     with dataio.restored_on_error(outputs[0][0]) if len(outputs) > 1 else contextlib.nullcontext():
         for path, payload in outputs:
             if isinstance(payload, dict):
@@ -211,16 +225,10 @@ def _cmd_analyze_snip(args: argparse.Namespace, cfg: AppConfig) -> None:
             "ignored": _histogram_payload(ignored),
             "overlap": consistency_overlap(trained, ignored),
         }
-        for b in range(len(trained.mass)):
-            rows.append(
-                (
-                    name,
-                    float(trained.edges[b]),
-                    float(trained.edges[b + 1]),
-                    float(trained.mass[b]),
-                    float(ignored.mass[b]),
-                )
-            )
+        # The CSV rows hold the JSON histograms' numbers: one bin per row.
+        hists = report[name]
+        edges, mass = hists["trained"]["bin_edges"], hists["trained"]["mass"]
+        rows += zip([name] * len(mass), edges, edges[1:], mass, hists["ignored"]["mass"])
     _emit(cfg, (args.out, {"policies": report}),
           (args.csv, (("policy", "bin_lower", "bin_upper", "trained", "ignored"), rows)))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import _HEADLINE, EvalResult
+from .evaluation import _HEADLINE
 from .geometry import (
     _ID_BOUND, _RESOLUTION, BBox, Detection, Instance, ScaleRange, _detection_table, _detections,
     _exact_id)
@@ -140,7 +140,7 @@ def _build(context: str, make, *args):
 def dataset_from_dict(data: dict) -> Dataset:
     images = []
     seen_images: set[int] = set()
-    for i, rec in enumerate(_field(data, "images", list, "annotation file", [])):
+    for i, rec in enumerate(_field(data, "images", list, "annotation file")):
         img_id = _id(rec, "id", f"image #{i}")
         if img_id in seen_images:
             raise DataFormatError(f"image {img_id}: duplicate id")
@@ -154,14 +154,14 @@ def dataset_from_dict(data: dict) -> Dataset:
     categories = [
         {"id": _id(rec, "id", f"category #{i}"),
          "name": _field(rec, "name", str, f"category #{i}", "")}
-        for i, rec in enumerate(_field(data, "categories", list, "annotation file", []))
+        for i, rec in enumerate(_field(data, "categories", list, "annotation file"))
     ]
     categories.sort(key=lambda c: c["id"])
     cat_ids = {c["id"] for c in categories}
 
     instances = []
     seen_anns: set[int] = set()
-    for i, rec in enumerate(_field(data, "annotations", list, "annotation file", [])):
+    for i, rec in enumerate(_field(data, "annotations", list, "annotation file")):
         ann_id = _field(rec, "id", int, f"annotation #{i}")
         if ann_id in seen_anns:
             raise DataFormatError(f"annotation {ann_id}: duplicate id")
@@ -306,10 +306,10 @@ def _table_records(table: np.ndarray, factor: float | None = None) -> list[dict]
             for x, y, w, h, score, category, resolution, image in table.tolist()]
 
 
-def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], EvalResult]:
-    """Range -> metrics lookup: [{"range": [lower, upper], "ap": ..., ...}] with
-    `EvalResult` fields, an absent one reading -1; `per_category` maps
-    category-id strings to numbers."""
+def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], float]:
+    """Range -> AP lookup: [{"range": [lower, upper], "ap": ..., ...}]. The other
+    headline metrics are optional numbers, and `per_category` maps category-id
+    strings to numbers; they are checked, and only `ap` is kept."""
     table, seen = {}, {}
     for i, rec in enumerate(_records(path, "entries", "lookup file")):
         context = f"lookup entry #{i}"
@@ -317,14 +317,13 @@ def load_oracle_table(path: str | os.PathLike) -> dict[tuple[float, float], Eval
         _build(context, ScaleRange, lower, upper)
         if (first := seen.setdefault((lower, upper), i)) != i:
             raise DataFormatError(f"{context}: range [{lower}, {upper}] repeats entry #{first}")
-        ap = _field(rec, "ap", float, context)
-        rest = {name: _field(rec, name, float, context, -1.0) for name in _HEADLINE[1:]}
+        table[(lower, upper)] = _field(rec, "ap", float, context)
+        for name in _HEADLINE[1:]:
+            _field(rec, name, float, context, None)
         per_category = _field(rec, "per_category", dict, context, {})
         if not all(k.isdecimal() and KINDS[float][1](v) for k, v in per_category.items()):
             raise DataFormatError(f"{context}: per_category must map category ids to "
                                   f"finite numbers, got {per_category!r}")
-        per_category = {int(k): float(v) for k, v in per_category.items()}
-        table[(lower, upper)] = EvalResult(ap, **rest, per_category=per_category)
     return table
 
 

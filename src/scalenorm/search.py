@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .evaluation import EvalResult
 from .geometry import ScaleRange
 
 DEFAULT_LOWER_CANDIDATES = (0.0, 16.0, 32.0)
@@ -22,11 +21,7 @@ DEFAULT_UPPER_CANDIDATES = (320.0, 496.0, 560.0, 640.0)
 
 
 class SearchAborted(RuntimeError):
-    """Oracle failed on a probed range; carries the trace gathered so far."""
-
-    def __init__(self, message: str, trace: list[tuple[ScaleRange, float]]):
-        super().__init__(message)
-        self.trace = trace
+    """The oracle failed on a probed range."""
 
 
 @dataclass(frozen=True)
@@ -53,13 +48,12 @@ class ApOracle:
         self.calls = 0
 
     @classmethod
-    def from_table(cls, table: dict[tuple[float, float], EvalResult]) -> "ApOracle":
-        """Answer each range with the `ap` of its entry in `table`, a lookup
-        of metrics by (lower, upper); a range it lacks raises LookupError."""
-        aps = {key: result.ap for key, result in table.items()}
+    def from_table(cls, table: dict[tuple[float, float], float]) -> "ApOracle":
+        """Answer each range with its AP in `table`, a lookup by (lower,
+        upper); a range it lacks raises LookupError."""
 
         def lookup(rng: ScaleRange) -> float:
-            if (ap := aps.get((rng.lower, rng.upper))) is None:
+            if (ap := table.get((rng.lower, rng.upper))) is None:
                 raise LookupError("the lookup table has no entry for this range")
             return ap
 
@@ -76,7 +70,7 @@ def greedy_range_search(
     """Run the alternating descent; returns (best range, probe trace).
 
     The trace lists every distinct range probed, in first-probe order, with
-    its AP. Oracle failures raise SearchAborted with the partial trace.
+    its AP. An oracle failure raises SearchAborted naming the range.
     """
     probed: dict[ScaleRange, float] = {}  # range -> AP, in first-probe order
 
@@ -86,9 +80,7 @@ def greedy_range_search(
             try:
                 probed[rng] = oracle.query(rng)
             except Exception as exc:
-                raise SearchAborted(
-                    f"oracle failed on range [{lower}, {upper}]: {exc}", list(probed.items())
-                ) from exc
+                raise SearchAborted(f"oracle failed on range [{lower}, {upper}]: {exc}") from exc
         return probed[rng]
 
     lower, upper = space.initial.lower, space.initial.upper

@@ -35,7 +35,6 @@ from scalenorm import (
     strategy_detections,
 )
 from scalenorm.cli import main as cli_main
-from scalenorm.evaluation import EvalResult
 
 from conftest import RANGE_AP_TABLE, make_instance
 from oracles import classic_nms, evaluate_reference, soft_nms_reference
@@ -66,11 +65,7 @@ class _Budget:
 
 def test_criterion_1_greedy_search_reproduction():
     with _Budget("1 greedy-search reproduction", 1.0):
-        table = {
-            key: EvalResult(ap, -1, -1, -1, -1, -1, -1)
-            for key, ap in RANGE_AP_TABLE.items()
-        }
-        best, trace = greedy_range_search(SearchSpace(), ApOracle.from_table(table))
+        best, trace = greedy_range_search(SearchSpace(), ApOracle.from_table(RANGE_AP_TABLE))
         assert (best.lower, best.upper) == (16.0, 560.0)
         aps = {(r.lower, r.upper): ap for r, ap in trace}
         assert aps[(16.0, 560.0)] == 38.7

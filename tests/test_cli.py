@@ -234,6 +234,23 @@ BAD_INPUTS = [
                  id="empty-override-path"),
     pytest.param(SIMULATE + ["--set", "seed.x=1"], None,
                  "config path 'seed.x' does not address a section", id="override-below-scalar"),
+    # An output that names an input is refused before the input is read: it keeps its bytes.
+    # BAD is bad.json and ANN annotations.json, both in the working directory.
+    pytest.param(["fuse", "--dets", "bad.json", "--out", "./bad.json"],
+                 [dict(d, scale_factor=1.0) for d in PERFECT_DETECTIONS],
+                 "output './bad.json' and input 'bad.json' name one file",
+                 id="fuse-out-names-its-dets"),
+    pytest.param(["eval", "--annotations", "annotations.json", "--dets", "BAD", "--out",
+                  "annotations.json"], PERFECT_DETECTIONS,
+                 "output 'annotations.json' and input 'annotations.json' name one file",
+                 id="eval-out-names-its-annotations"),
+    # A file without all three top-level annotation keys is not an annotation file.
+    pytest.param(STAGE_HIST, {}, "annotation file: missing field 'images'",
+                 id="annotations-empty-object"),
+    pytest.param(STAGE_HIST, {"config": {}, "metrics": {"ap": 1.0}},
+                 "annotation file: missing field 'images'", id="annotations-metrics-file"),
+    pytest.param(STAGE_HIST, {k: PERFECT_ANNOTATIONS[k] for k in ("images", "annotations")},
+                 "annotation file: missing field 'categories'", id="annotations-no-categories"),
 ]
 
 
@@ -669,17 +686,20 @@ class TestErrorSurface:
     def test_bad_input_names_record_and_field(
         self, tmp_path, annotations, capsys, monkeypatch, argv, data, message
     ):
-        """Exit 1 with one `error:` line naming the record and field, and no output file."""
+        """Exit 1 with one `error:` line naming the record and field, no output
+        file, and every file there before left with its bytes."""
         bad = tmp_path / "bad.json"
         if data is not None:
             bad.write_text(json.dumps(data))
         (tmp_path / "DIR").mkdir()
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.iterdir())
+        contents = {p: p.read_bytes() for p in before if p.is_file()}
         paths = {"BAD": bad, "ANN": annotations, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
         assert run_cli(*(paths.get(a, a) for a in argv)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.iterdir()) == before
+        assert {p: p.read_bytes() for p in before if p.is_file()} == contents
 
     def test_broken_stdout_exits_1_without_an_error_line(self, tmp_path, capsys, monkeypatch):
         table = tmp_path / "table.json"

@@ -314,7 +314,7 @@ class TestSerialization:
         result = evaluate([gt], [detection_for(gt, 0.9)])
         path = tmp_path / "table.json"
         dataio.write_json(path, [{"range": [16, None], **result.to_dict()}])
-        assert dataio.load_oracle_table(path) == {(16.0, math.inf): result}
+        assert dataio.load_oracle_table(path) == {(16.0, math.inf): result.ap}
 
     def test_csv_layout(self, tmp_path):
         from scalenorm import dataio

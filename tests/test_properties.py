@@ -1,6 +1,7 @@
 """Hypothesis properties of fusion, the two Soft-NMS greedy loops, range
-search, the search's probe path, `search --simulate` against the library,
-closed-form matching, the detection-dump reader and the JSON writer.
+search, the search's probe path, `search --simulate`, `search --table` and
+`eval` against the library, closed-form matching, the detection-dump reader
+and the JSON writer.
 
 Every property runs derandomized, so a failure reproduces on every run.
 Boxes sit on a coarse grid and scores come from a short list, so exact ties
@@ -9,6 +10,8 @@ in the candidate order, duplicate boxes and equal scores are common.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -31,6 +34,7 @@ from scalenorm import (
     SearchSpace,
     SoftNmsConfig,
     UNBOUNDED_RANGE,
+    ap_by_scale_report,
     cli,
     evaluate,
     fuse_multiscale,
@@ -41,8 +45,9 @@ from scalenorm import (
     strategy_detections,
 )
 from scalenorm import dataio
+from scalenorm.config import parse_range
 from scalenorm.dataio import DataFormatError, write_json
-from scalenorm.evaluation import BUCKET_NAMES, _match_single, _match_unit
+from scalenorm.evaluation import _HEADLINE, BUCKET_NAMES, _match_single, _match_unit
 from scalenorm.fusion import (
     _SMALL_BLOCK, _FusionIndex, _decay_factors, _detections, _greedy_arrays, _greedy_lists,
     _resolution_rows,
@@ -328,6 +333,124 @@ class TestSearchProperties:
         assert got["best_range"] == best.to_pair()
         assert got["best_ap"] == dict(trace)[best]
         assert got["trace"] == [{"range": rng.to_pair(), "ap": v} for rng, v in trace]
+
+
+def run_cli_in(tmp: str, argv: list[str]) -> tuple[str, bytes]:
+    """`cli.main(argv + ["--out", OUT])`, OUT a file in directory `tmp`, which
+    must exit 0: its stdout and the bytes written to OUT."""
+    out, stdout = os.path.join(tmp, "out.json"), io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv + ["--out", out]) == 0
+    with open(out, "rb") as fh:
+        return stdout.getvalue(), fh.read()
+
+
+LATTICE = [(lo, hi) for lo in SearchSpace().lower_candidates
+           for hi in SearchSpace().upper_candidates]
+metric_values = st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), st.floats(0, 100))
+
+
+@st.composite
+def lookup_files(draw):
+    """An AP for each range of the default search lattice, drawn from a short
+    list (so probes tie) or at random, and a lookup file of them: each entry
+    with or without the optional metrics and `per_category`, in shuffled
+    order, as a bare list or under "entries"."""
+    aps = {key: draw(st.one_of(st.sampled_from((37.4, 38.2)), st.floats(0, 100)))
+           for key in LATTICE}
+    entries = []
+    for (lower, upper), ap in aps.items():
+        entry = {"range": [lower, upper], "ap": ap}
+        if draw(st.booleans()):
+            entry.update((name, draw(metric_values)) for name in _HEADLINE[1:])
+        if draw(st.booleans()):
+            entry["per_category"] = draw(st.dictionaries(
+                st.integers(1, 9).map(str), metric_values, max_size=3))
+        entries.append(entry)
+    entries = draw(st.permutations(entries))
+    return aps, {"entries": entries} if draw(st.booleans()) else entries
+
+
+class TestCliProperties:
+    """Each CLI command family against the library calls it stands for."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(lookup_files())
+    def test_search_table_reads_ap_alone(self, case):
+        """`search --table` prints and writes the same bytes for a full lookup
+        file as for its ranges and APs alone, and finds what
+        `greedy_range_search` finds over those APs."""
+        aps, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            full, bare = os.path.join(tmp, "full.json"), os.path.join(tmp, "bare.json")
+            write_json(full, data)
+            write_json(bare, [{"range": list(key), "ap": ap} for key, ap in aps.items()])
+            printed = run_cli_in(tmp, ["search", "--table", full])
+            assert run_cli_in(tmp, ["search", "--table", bare]) == printed
+
+        best, trace = greedy_range_search(
+            SearchSpace(), ApOracle(lambda rng: aps[(rng.lower, rng.upper)]))
+        got = json.loads(printed[1])
+        assert got["best_range"] == best.to_pair()
+        assert got["best_ap"] == dict(trace)[best]
+        assert got["trace"] == [{"range": rng.to_pair(), "ap": ap} for rng, ap in trace]
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.sampled_from((0.0, 0.2, 0.5)),
+        st.sampled_from(([0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95],
+                         [0.5], [0.3, 0.7], [0.5, 0.75, 1.0])),
+        st.sampled_from((101, 11, 2)),
+        st.sampled_from(((32.0**2, 96.0**2), (8.0**2, 24.0**2), (100.0**2, 400.0**2))),
+        st.sampled_from((1, 2, 100)),  # max_dets; small ones bind
+        st.sampled_from((None, "16,560", "8,64", "32,inf")),
+        st.booleans(),
+    )
+    def test_cli_eval_equals_evaluate(
+        self, seed, images, categories, crowd, thresholds, points, edges, max_dets, restriction,
+        unused_category,
+    ):
+        """`eval`, with and without `--scale-range`, writes the metrics of
+        `evaluate` or `ap_by_scale_report` on the library's objects, bit for
+        bit, the annotation file's vocabulary included."""
+        dataset = generate_dataset(images, seed, num_categories=categories,
+                                   crowd_fraction=crowd)
+        per_resolution = simulate_detections(
+            dataset, AppConfig().pyramid, DetectorProfile(seed=seed))
+        dets = strategy_detections(per_resolution, sorted(img.id for img in dataset.images),
+                                   AppConfig().scale_range, "isn")
+        if unused_category:  # a category that neither side holds: it reads -1
+            dataset.categories.append({"id": categories + 1, "name": "unused"})
+        overrides = {"eval.iou_thresholds": thresholds, "eval.recall_points": points,
+                     "eval.small_area": edges[0], "eval.large_area": edges[1],
+                     "eval.max_dets": max_dets}
+        with tempfile.TemporaryDirectory() as tmp:
+            ann, dump = os.path.join(tmp, "ann.json"), os.path.join(tmp, "dets.json")
+            write_json(ann, dataio.dataset_to_dict(dataset))
+            write_json(dump, dataio.detections_to_records(dets))
+            argv = ["eval", "--annotations", ann, "--dets", dump]
+            for key, value in overrides.items():
+                argv += ["--set", f"{key}={json.dumps(value)}"]
+            _, written = run_cli_in(
+                tmp, argv + (["--scale-range", restriction] if restriction else []))
+
+        cfg = EvalConfig(iou_thresholds=tuple(thresholds), recall_points=points,
+                         small_area=edges[0], large_area=edges[1], max_dets=max_dets)
+        if restriction:
+            window = parse_range(restriction)
+            unrestricted, restricted = ap_by_scale_report(
+                dataset.instances, dets, cfg, window, dataset.category_ids())
+            want = {"scale_range": window.to_pair(), "unrestricted": unrestricted.to_dict(),
+                    "restricted": restricted.to_dict()}
+        else:
+            want = {"metrics": evaluate(dataset.instances, dets, cfg,
+                                        dataset.category_ids()).to_dict()}
+        got = json.loads(written)
+        del got["config"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 @st.composite

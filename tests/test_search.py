@@ -1,28 +1,19 @@
 import pytest
 
 from scalenorm import ApOracle, ScaleRange, SearchAborted, SearchSpace, greedy_range_search
-from scalenorm.evaluation import EvalResult
 
 from conftest import RANGE_AP_TABLE
 
 
-def result_with_ap(ap):
-    return EvalResult(ap, -1, -1, -1, -1, -1, -1)
-
-
-def table_oracle(mapping):
-    return ApOracle.from_table({k: result_with_ap(v) for k, v in mapping.items()})
-
-
 class TestPublishedLookup:
     def test_finds_published_range(self):
-        best, trace = greedy_range_search(SearchSpace(), table_oracle(RANGE_AP_TABLE))
+        best, trace = greedy_range_search(SearchSpace(), ApOracle.from_table(RANGE_AP_TABLE))
         assert (best.lower, best.upper) == (16.0, 560.0)
         aps = {(r.lower, r.upper): ap for r, ap in trace}
         assert aps[(16.0, 560.0)] == 38.7
 
     def test_trace_probes_exactly_the_published_entries(self):
-        _, trace = greedy_range_search(SearchSpace(), table_oracle(RANGE_AP_TABLE))
+        _, trace = greedy_range_search(SearchSpace(), ApOracle.from_table(RANGE_AP_TABLE))
         probed = [(r.lower, r.upper) for r, _ in trace]
         assert len(probed) == len(set(probed)) == 7
         assert set(probed) == set(RANGE_AP_TABLE)
@@ -37,7 +28,7 @@ class TestDescentBehavior:
             for lo in (0.0, 16.0, 32.0)
             for hi in (320.0, 496.0, 560.0, 640.0)
         }
-        best, _ = greedy_range_search(SearchSpace(), table_oracle(mapping))
+        best, _ = greedy_range_search(SearchSpace(), ApOracle.from_table(mapping))
         assert (best.lower, best.upper) == (0.0, 640.0)
 
     def test_increasing_in_lower_bound(self):
@@ -47,7 +38,7 @@ class TestDescentBehavior:
             for lo in (0.0, 16.0, 32.0)
             for hi in (320.0, 496.0, 560.0, 640.0)
         }
-        best, trace = greedy_range_search(SearchSpace(), table_oracle(mapping))
+        best, trace = greedy_range_search(SearchSpace(), ApOracle.from_table(mapping))
         assert (best.lower, best.upper) == (32.0, 640.0)
         # hand-traced probe set: full lower sweep at 640, then upper sweep at 32
         assert {(r.lower, r.upper) for r, _ in trace} == {
@@ -60,7 +51,7 @@ class TestDescentBehavior:
         }
 
     def test_local_optimality_over_probed_set(self):
-        best, trace = greedy_range_search(SearchSpace(), table_oracle(RANGE_AP_TABLE))
+        best, trace = greedy_range_search(SearchSpace(), ApOracle.from_table(RANGE_AP_TABLE))
         aps = {(r.lower, r.upper): ap for r, ap in trace}
         best_ap = aps[(best.lower, best.upper)]
         final_alternation = [
@@ -82,21 +73,28 @@ class TestDescentBehavior:
 
     def test_call_budget(self):
         space = SearchSpace()
-        oracle = table_oracle(RANGE_AP_TABLE)
+        oracle = ApOracle.from_table(RANGE_AP_TABLE)
         greedy_range_search(space, oracle)
         assert oracle.calls <= len(space.lower_candidates) * len(space.upper_candidates)
 
     def test_oracle_failure_aborts_with_partial_trace(self):
         partial = dict(RANGE_AP_TABLE)
         del partial[(16.0, 560.0)]
+        lookup, queries = ApOracle.from_table(partial), []
+
+        def recording(rng):
+            queries.append((rng.lower, rng.upper))
+            return lookup.query(rng)
+
         with pytest.raises(SearchAborted) as err:
-            greedy_range_search(SearchSpace(), table_oracle(partial))
-        probed = {(r.lower, r.upper) for r, _ in err.value.trace}
-        assert probed == {(0.0, 640.0), (16.0, 640.0), (32.0, 640.0)}
+            greedy_range_search(SearchSpace(), ApOracle(recording))
+        assert str(err.value) == ("oracle failed on range [16.0, 560.0]: "
+                                  "the lookup table has no entry for this range")
+        assert queries == [(0.0, 640.0), (16.0, 640.0), (32.0, 640.0), (16.0, 560.0)]
 
     def test_deterministic(self):
         runs = [
-            greedy_range_search(SearchSpace(), table_oracle(RANGE_AP_TABLE))
+            greedy_range_search(SearchSpace(), ApOracle.from_table(RANGE_AP_TABLE))
             for _ in range(3)
         ]
         assert all(run == runs[0] for run in runs)
